@@ -155,6 +155,19 @@ pub fn worker_count() -> usize {
         .unwrap_or(hw)
 }
 
+/// Runs one executor call, turning a panic into the job's failure so a
+/// faulty executor can neither kill its lane nor leave jobs `Running`.
+fn isolated<T>(call: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(format!("executor panicked: {message}"))
+    })
+}
+
 /// Shared state of a running service: queue, jobs, cache, admission and
 /// telemetry. Connection handlers and workers all operate on an
 /// `Arc<ServeCore>`.
@@ -440,7 +453,7 @@ impl ServeCore {
                     hash,
                     key,
                 } => {
-                    let outcome = executor(&spec);
+                    let outcome = isolated(|| executor(&spec));
                     self.busy_nanos
                         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     let mut st = self.state.lock().expect("pool poisoned");
@@ -470,7 +483,7 @@ impl ServeCore {
                         points: points.iter().map(|p| p.point).collect(),
                         ..spec
                     };
-                    let outcome = batch_executor(&run).and_then(|reports| {
+                    let outcome = isolated(|| batch_executor(&run)).and_then(|reports| {
                         if reports.len() == points.len() {
                             Ok(reports)
                         } else {
@@ -785,6 +798,47 @@ mod tests {
         assert_eq!(state, JobState::Failed("boom".into()));
         assert!(report.is_none());
         assert_eq!(core.drain().failed, 1);
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn panicking_executor_fails_its_job_and_keeps_the_lane() {
+        let core = Arc::new(ServeCore::new(1, AdmissionConfig::default()));
+        let exec: Executor = Arc::new(|spec: &JobSpec| {
+            if spec.cycles == 13 {
+                panic!("unlucky spec");
+            }
+            Ok(Report::new("stub"))
+        });
+        let panicking: crate::BatchExecutor = Arc::new(|_spec| panic!("batch boom"));
+        let workers = start_batch(&core, 1, exec, panicking);
+        let mut doomed = spec("panic");
+        doomed.cycles = 13;
+        let (bad, _) = core.submit(doomed, None).unwrap();
+        let (acks, _) = core
+            .submit_batch(batch("panic", &[(1, 1), (2, 2)]), None)
+            .unwrap();
+        let (good, _) = core.submit(spec("after"), None).unwrap();
+        assert_eq!(
+            wait_done(&core, bad).0,
+            JobState::Failed("executor panicked: unlucky spec".into())
+        );
+        for (id, _) in acks {
+            assert_eq!(
+                wait_done(&core, id).0,
+                JobState::Failed("executor panicked: batch boom".into())
+            );
+        }
+        assert_eq!(wait_done(&core, good).0, JobState::Done, "the lane lives on");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let drainer = Arc::clone(&core);
+        std::thread::spawn(move || tx.send(drainer.drain()).unwrap());
+        let summary = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("drain returns despite the panics");
+        assert_eq!((summary.executed, summary.failed), (1, 3));
         for w in workers {
             w.join().unwrap();
         }
