@@ -112,25 +112,6 @@ impl QosFabricBuilder {
         gate
     }
 
-    /// Declares a regulated port with full configuration control.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is already taken or the configuration is
-    /// invalid.
-    pub fn port_with_config(
-        &mut self,
-        name: impl Into<String>,
-        role: PortRole,
-        cfg: RegulatorConfig,
-    ) -> TcRegulator {
-        let name = name.into();
-        self.assert_fresh(&name);
-        let (gate, driver) = TcRegulator::create(cfg);
-        self.ports.push(PortEntry { name, role, driver });
-        gate
-    }
-
     fn assert_fresh(&self, name: &str) {
         assert!(
             self.ports.iter().all(|p| p.name != name),

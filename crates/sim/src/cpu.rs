@@ -107,18 +107,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Hit ratio over all accesses (0.0 when none).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Set-associative, write-back, write-allocate cache with LRU
 /// replacement.
 ///

@@ -35,8 +35,8 @@
 //!    merged stream from [`TypedSnapshot::leap`] is loaded back — the
 //!    exact bytes a cycle-by-cycle run would reach at `c + k·P`.
 //!
-//! `FGQOS_NO_LEAP=1` disables the engine; `FGQOS_NAIVE=1` always wins
-//! over `FGQOS_LEAP=1` (the naive core never leaps). Bit-identity
+//! `FGQOS_NO_LEAP=1` disables the engine, and the naive core
+//! (`FGQOS_NAIVE=1`) never leaps. Bit-identity
 //! against the plain calendar core is pinned by proptests in
 //! `tests/fast_forward.rs` and `tests/scenario_v2.rs`.
 
@@ -59,7 +59,7 @@ const MIN_STRIDE: u64 = 64;
 /// O(log horizon) walks per aperiodic run. The cost is detection
 /// latency for machines that only settle into a period late: by then
 /// samples are sparse, and a match must wait for two samples to land
-/// on the same phase (`FGQOS_LEAP_DEBUG=1` shows the sampling).
+/// on the same phase.
 const MAX_STRIDE: u64 = 1 << 22;
 
 /// Recurrence table capacity (boundary records kept, FIFO-evicted).
@@ -325,16 +325,6 @@ impl Soc {
         let record = h.take_typed();
         let key = record.rebased_key(now.get(), &self.wake_offsets(now));
         self.leap.last_boundary = now.get();
-        if std::env::var_os("FGQOS_LEAP_DEBUG").is_some() {
-            let hits = self.leap.table.iter().filter(|e| e.key == key).count();
-            eprintln!(
-                "leap-debug: boundary at {} key {:016x} table {} hits {}",
-                now.get(),
-                key,
-                self.leap.table.len(),
-                hits
-            );
-        }
 
         // Probe: recent boundaries (FIFO table, catches short periods
         // within a few windows) then the Brent anchor (catches periods

@@ -932,11 +932,6 @@ impl Master {
     pub fn gate(&self) -> &dyn PortGate {
         self.gate.as_ref()
     }
-
-    /// Mutable access to the port gate (used by tests and ablations).
-    pub fn gate_mut(&mut self) -> &mut dyn PortGate {
-        self.gate.as_mut()
-    }
 }
 
 #[cfg(test)]

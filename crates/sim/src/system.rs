@@ -136,11 +136,6 @@ impl SocBuilder {
         }
     }
 
-    /// The id the *next* registered master will receive.
-    pub fn next_id(&self) -> MasterId {
-        MasterId::new(self.masters.len())
-    }
-
     /// Adds an ungated master with the kind's default outstanding limit.
     pub fn master(
         self,
@@ -233,22 +228,9 @@ impl SocBuilder {
         // speedup measurement); any other value keeps fast-forward on.
         let env_on = |name: &str| std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty());
         let naive = env_on("FGQOS_NAIVE");
-        // Steady-state leaping defaults on in fast mode. FGQOS_NO_LEAP=1
-        // is the escape hatch; FGQOS_LEAP=1 states intent explicitly
-        // (e.g. CI equivalence loops) but cannot override the naive core
-        // or the escape hatch — a conflict gets one clear diagnostic.
+        // Steady-state leaping defaults on in fast mode; FGQOS_NO_LEAP=1
+        // is the escape hatch (the naive core never leaps).
         let no_leap = env_on("FGQOS_NO_LEAP");
-        if env_on("FGQOS_LEAP") && (naive || no_leap) {
-            static CONFLICT: std::sync::Once = std::sync::Once::new();
-            let loser = if naive {
-                "FGQOS_NAIVE=1 (the naive reference core never leaps)"
-            } else {
-                "FGQOS_NO_LEAP=1"
-            };
-            CONFLICT.call_once(|| {
-                eprintln!("fgqos: FGQOS_LEAP=1 conflicts with {loser}; steady-state leaping stays disabled");
-            });
-        }
         Soc {
             freq: self.cfg.freq,
             cycle: Cycle::ZERO,
@@ -426,30 +408,6 @@ impl Soc {
             self.masters[idx].on_response(response, now);
         }
         self.cycle += 1;
-    }
-
-    /// Earliest cycle `>= now` at which any component can change state:
-    /// the minimum over every master (source schedule, staged request,
-    /// gate window), the crossbar, the DRAM controller and every
-    /// software controller. `None` when the whole SoC is quiescent.
-    pub fn next_event(&self) -> Option<Cycle> {
-        let now = self.cycle;
-        let mut wake: Option<Cycle> = None;
-        let mut merge = |c: Option<Cycle>| {
-            wake = match (wake, c) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        for m in &self.masters {
-            merge(m.next_activity(now));
-        }
-        merge(self.xbar.next_activity(now));
-        merge(self.dram.next_activity(now));
-        for c in &self.controllers {
-            merge(c.next_activity(now));
-        }
-        wake
     }
 
     /// Builds a fresh event calendar from the current component states.

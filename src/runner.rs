@@ -589,7 +589,7 @@ pub struct LiveOptions {
     /// byte-identity is checked under a *known* core.
     pub naive: Option<bool>,
     /// Force the steady-state leap engine on/off, instead of the
-    /// `FGQOS_LEAP`/`FGQOS_NO_LEAP` environment default.
+    /// `FGQOS_NO_LEAP` environment default.
     pub leap: Option<bool>,
 }
 

@@ -232,43 +232,30 @@ fn json_report_carries_the_leap_block() {
 }
 
 #[test]
-fn conflicting_leap_env_prints_one_diagnostic() {
-    let out = fgqos()
+fn naive_core_matches_the_default_core() {
+    let naive = fgqos()
         .args(["scenarios/demo.fgq", "--cycles", "100000", "--quiet"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .env("FGQOS_LEAP", "1")
         .env("FGQOS_NAIVE", "1")
         .output()
         .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let needle = "FGQOS_LEAP=1 conflicts with FGQOS_NAIVE=1";
-    assert_eq!(
-        stderr.matches(needle).count(),
-        1,
-        "exactly one conflict diagnostic expected, got: {stderr}"
-    );
-    // The naive core must still win: its run stays bit-identical to the
-    // default (leaping) fast core, so the rendered stats agree.
     let plain = fgqos()
         .args(["scenarios/demo.fgq", "--cycles", "100000", "--quiet"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("binary runs");
-    assert!(plain.status.success());
+    assert!(naive.status.success() && plain.status.success());
+    // The naive reference core stays bit-identical to the default
+    // (leaping) fast core, so the rendered stats agree.
     assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&naive.stdout),
         String::from_utf8_lossy(&plain.stdout),
-        "naive-with-conflict run must match the default core's stats"
+        "naive run must match the default core's stats"
     );
 }
 
 #[test]
-fn no_leap_escape_hatch_preserves_results_and_warns_on_conflict() {
+fn no_leap_escape_hatch_preserves_results() {
     let with_leap = fgqos()
         .args(["scenarios/demo.fgq", "--cycles", "100000", "--quiet"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -278,7 +265,6 @@ fn no_leap_escape_hatch_preserves_results_and_warns_on_conflict() {
         .args(["scenarios/demo.fgq", "--cycles", "100000", "--quiet"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .env("FGQOS_NO_LEAP", "1")
-        .env("FGQOS_LEAP", "1")
         .output()
         .expect("binary runs");
     assert!(with_leap.status.success() && without.status.success());
@@ -286,11 +272,6 @@ fn no_leap_escape_hatch_preserves_results_and_warns_on_conflict() {
         String::from_utf8_lossy(&with_leap.stdout),
         String::from_utf8_lossy(&without.stdout),
         "FGQOS_NO_LEAP must not change simulation results"
-    );
-    assert!(
-        String::from_utf8_lossy(&without.stderr)
-            .contains("FGQOS_LEAP=1 conflicts with FGQOS_NO_LEAP=1"),
-        "conflict diagnostic names the escape hatch"
     );
 }
 
