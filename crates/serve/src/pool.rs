@@ -831,7 +831,11 @@ mod tests {
                 JobState::Failed("executor panicked: batch boom".into())
             );
         }
-        assert_eq!(wait_done(&core, good).0, JobState::Done, "the lane lives on");
+        assert_eq!(
+            wait_done(&core, good).0,
+            JobState::Done,
+            "the lane lives on"
+        );
         let (tx, rx) = std::sync::mpsc::channel();
         let drainer = Arc::clone(&core);
         std::thread::spawn(move || tx.send(drainer.drain()).unwrap());

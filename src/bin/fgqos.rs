@@ -100,7 +100,7 @@ use fgqos::bench::report::Report;
 use fgqos::hunt::{run_hunt, HuntOptions};
 use fgqos::hunt_engine::Objective;
 use fgqos::runner::{
-    assertion_outcome, evaluate_expectations, live_replay_report, scenario_report,
+    assertion_outcome, evaluate_expectations, live_replay_report, run_scenario, scenario_report,
     serve_batch_executor, serve_batch_executor_with_store, serve_executor, serve_live_executor,
     serve_snapshot_executor, AssertionResult, LiveOptions, RunError, RunOptions,
 };
@@ -621,28 +621,15 @@ fn run(args: RunArgs) -> Result<(), String> {
 
     // The classic text path keeps its historical layout (and the
     // --histogram / --quiet extras the report document doesn't carry).
-    let (mut soc, fabric) = spec.build();
-    let ran = match &until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .ok_or_else(|| format!("--until-done: no master named {name:?}"))?;
-            match soc.run_until_done(id, cycles) {
-                Some(t) => {
-                    println!("master {name:?} finished at {t}");
-                    t.get()
-                }
-                None => {
-                    println!("master {name:?} did not finish within {cycles} cycles");
-                    soc.now().get()
-                }
-            }
+    let run = run_scenario(&spec, &opts).map_err(|e| e.to_string())?;
+    if let Some(name) = &until_done {
+        match run.finished_at {
+            Some(t) => println!("master {name:?} finished at {t}"),
+            None => println!("master {name:?} did not finish within {cycles} cycles"),
         }
-        None => {
-            soc.run(cycles);
-            cycles
-        }
-    };
+    }
+    let ran = run.ran();
+    let (soc, fabric) = (&run.soc, &run.fabric);
 
     println!("\nsimulated {ran} cycles at {}", soc.freq());
     println!(
@@ -696,7 +683,7 @@ fn run(args: RunArgs) -> Result<(), String> {
         println!("\nqos fabric:");
         print!("{}", fabric.report());
     }
-    assertion_verdicts(&evaluate_expectations(&spec, &soc, &fabric))
+    assertion_verdicts(&evaluate_expectations(&spec, soc, fabric))
 }
 
 fn check(path: &str) -> Result<(), String> {
@@ -723,18 +710,12 @@ fn check(path: &str) -> Result<(), String> {
     // Assertions make `check` a run: the scenario's own `cycles` /
     // `until_done` directives (or the usual default) drive it, and a
     // failed expectation fails the check.
-    let cycles = spec.cycles.unwrap_or(DEFAULT_CYCLES);
-    let (mut soc, fabric) = spec.build();
-    match &spec.until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .expect("until_done master validated at parse time");
-            let _ = soc.run_until_done(id, cycles);
-        }
-        None => soc.run(cycles),
-    }
-    assertion_verdicts(&evaluate_expectations(&spec, &soc, &fabric))
+    let opts = RunOptions {
+        cycles: spec.cycles.unwrap_or(DEFAULT_CYCLES),
+        until_done: spec.until_done.clone(),
+    };
+    let run = run_scenario(&spec, &opts).map_err(|e| e.to_string())?;
+    assertion_verdicts(&evaluate_expectations(&spec, &run.soc, &run.fabric))
 }
 
 fn hunt(args: HuntArgs) -> Result<(), String> {

@@ -5,6 +5,13 @@
 //! the outcome as a `fgqos.exp-report` document — the shared currency of
 //! the `exp_*` binaries, `fgqos --json`, and the `fgqos-serve` result
 //! cache (which requires byte-deterministic output for equal inputs).
+//!
+//! Every execution — a scenario report, a batch point, a live run or
+//! its replay, the CLI's text run — goes through one private run plan:
+//! a machine [`Source`] (cold build, warm prefix or fork of a captured
+//! boundary), optional best-effort knobs, and a horizon (`cycles`, or
+//! `until_done` capped by it). A report's [`Flavour`] is data, not a
+//! code path.
 
 use crate::scenario::{
     ExpectKind, ExpectSpec, LatencyMetric, ParseScenarioError, Role, ScenarioSpec,
@@ -22,6 +29,7 @@ use fgqos_sim::axi::{MasterId, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::json::Value;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, WindowBoundary};
+use fgqos_sim::time::Cycle;
 use fgqos_sim::{BlobStore, ForkCtx, SnapshotBlob, StateHasher};
 use std::sync::Arc;
 
@@ -54,6 +62,216 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+fn parse(text: &str) -> Result<ScenarioSpec, RunError> {
+    ScenarioSpec::parse(text).map_err(RunError::Parse)
+}
+
+fn no_master(name: &str) -> RunError {
+    RunError::Run(format!("--until-done: no master named {name:?}"))
+}
+
+/// Where a planned run's machine comes from.
+enum Source<'a> {
+    /// A fresh build of the recipe, optionally pinned to a simulation
+    /// core (`naive`) and leap setting instead of the environment's.
+    Cold {
+        naive: Option<bool>,
+        leap: Option<bool>,
+    },
+    /// A fresh build advanced through a batch's warm prefix (see
+    /// [`warm`]), whether or not a quiesced boundary opened.
+    Warm(u64),
+    /// A fork of a captured warm boundary and the fabric bound to it.
+    Fork(&'a SocSnapshot, &'a QosFabric),
+}
+
+/// A window observer: called at every window boundary of a segmented
+/// run with the machine and its fabric; `false` stops the run there.
+type Observer<'o> = &'o mut dyn FnMut(&mut Soc, &QosFabric, WindowBoundary) -> bool;
+
+/// One scenario execution: where the machine comes from, which
+/// best-effort knobs it gets, and how far it runs.
+struct RunPlan<'a> {
+    source: Source<'a>,
+    /// `(period, budget)` programmed into every best-effort regulator
+    /// before the run.
+    knobs: Option<(u64, u64)>,
+    /// Cycle budget (the cap when `until_done` is set).
+    cycles: u64,
+    /// Stop once this master's workload completes.
+    until_done: Option<&'a str>,
+}
+
+/// A finished scenario run: the machine in its final state and how its
+/// horizon ended.
+pub struct ScenarioRun {
+    /// The simulated SoC.
+    pub soc: Soc,
+    /// The QoS fabric bound to the SoC's regulators.
+    pub fabric: QosFabric,
+    /// When the run had an `until_done` master that finished within the
+    /// cap: the cycle it finished at.
+    pub finished_at: Option<Cycle>,
+    /// Cycle the horizon started at: 0 for a cold build, the boundary
+    /// for a warm prefix or a fork.
+    start: u64,
+}
+
+impl ScenarioRun {
+    /// Cycles the run covers: the finish cycle of an `until_done`
+    /// master, otherwise the cycle the run stopped at.
+    pub fn ran(&self) -> u64 {
+        self.finished_at.unwrap_or(self.soc.now()).get()
+    }
+}
+
+/// How a run renders as a report: everything that differs between the
+/// scenario, point and live documents.
+struct Flavour<'a> {
+    /// Report kind; the banner id is its upper-case form.
+    kind: &'static str,
+    /// Text whose content hash the banner carries.
+    content: &'a str,
+    /// Context lines between `cycles` and the horizon's outcome.
+    context: Vec<(&'static str, u64)>,
+    /// Appended to the "did not finish within N cycles" note.
+    cap_suffix: &'static str,
+    /// Whether the leap-telemetry block is emitted (see [`leap_block`]).
+    leap: bool,
+}
+
+impl<'a> RunPlan<'a> {
+    /// A cold build of the recipe run for `cycles`.
+    fn cold(cycles: u64) -> Self {
+        RunPlan {
+            source: Source::Cold {
+                naive: None,
+                leap: None,
+            },
+            knobs: None,
+            cycles,
+            until_done: None,
+        }
+    }
+
+    fn scenario(opts: &'a RunOptions) -> Self {
+        RunPlan {
+            until_done: opts.until_done.as_deref(),
+            ..RunPlan::cold(opts.cycles)
+        }
+    }
+
+    fn live(opts: &LiveOptions) -> Self {
+        RunPlan {
+            source: Source::Cold {
+                naive: opts.naive,
+                leap: opts.leap,
+            },
+            ..RunPlan::cold(opts.cycles)
+        }
+    }
+
+    /// Builds the machine, programs the knobs and runs the horizon.
+    ///
+    /// This is the one place a horizon meets the simulator. Without an
+    /// observer the run is monolithic ([`Soc::run`] or
+    /// [`Soc::run_until_done`]); with one it is segmented by
+    /// [`Soc::run_windowed`]. Live runs, the only observed ones, carry
+    /// no `until_done`.
+    fn execute(
+        &self,
+        parsed: &ScenarioSpec,
+        observer: Option<(u64, Observer<'_>)>,
+    ) -> Result<ScenarioRun, RunError> {
+        let (mut soc, fabric) = match self.source {
+            Source::Cold { naive, leap } => {
+                let (mut soc, fabric) = parsed.build();
+                if let Some(naive) = naive {
+                    soc.set_naive(naive);
+                }
+                if let Some(leap) = leap {
+                    soc.set_leap(leap);
+                }
+                (soc, fabric)
+            }
+            Source::Warm(warmup) => {
+                let (run, _) = warm(parsed, warmup)?;
+                (run.soc, run.fabric)
+            }
+            Source::Fork(snap, fabric) => {
+                let mut ctx = ForkCtx::new();
+                let soc = snap.fork_with(&mut ctx);
+                (soc, fabric.fork_rebound(&mut ctx))
+            }
+        };
+        if let Some((period, budget)) = self.knobs {
+            fabric.set_best_effort_budgets(
+                period.min(u32::MAX as u64) as u32,
+                budget.min(u32::MAX as u64) as u32,
+            );
+        }
+        let start = soc.now().get();
+        let finished_at = match (observer, self.until_done) {
+            (Some((window, observe)), _) => {
+                soc.run_windowed(self.cycles, window, |soc, b| observe(soc, &fabric, b));
+                None
+            }
+            (None, Some(name)) => {
+                let id = soc.master_id(name).ok_or_else(|| no_master(name))?;
+                soc.run_until_done(id, self.cycles)
+            }
+            (None, None) => {
+                soc.run(self.cycles);
+                None
+            }
+        };
+        Ok(ScenarioRun {
+            soc,
+            fabric,
+            finished_at,
+            start,
+        })
+    }
+
+    /// Renders a finished run of this plan as a report document.
+    fn report(&self, parsed: &ScenarioSpec, run: &ScenarioRun, flavour: &Flavour) -> Report {
+        let mut report = Report::new(flavour.kind);
+        report.banner(
+            &flavour.kind.to_ascii_uppercase(),
+            &format!("content {:016x}", fnv64(flavour.content.as_bytes())),
+        );
+        report.context("cycles", self.cycles);
+        for (key, value) in &flavour.context {
+            report.context(key, value);
+        }
+        if let Some(name) = self.until_done {
+            report.context("until_done", name);
+            match run.finished_at {
+                Some(t) => report.context("finished_at", t),
+                None => report.note(format!(
+                    "master {name:?} did not finish within {} cycles{}",
+                    self.cycles, flavour.cap_suffix
+                )),
+            }
+        }
+        let ran = run.ran();
+        report.context("simulated_cycles", ran);
+        report.context("clock", run.soc.freq());
+        if flavour.leap {
+            leap_block(&mut report, &run.soc);
+        }
+        stats_tables(&mut report, parsed, &run.soc, &run.fabric, ran);
+        assertion_block(&mut report, parsed, &run.soc, &run.fabric);
+        report
+    }
+}
+
+/// Runs a parsed scenario cold over `opts`' horizon and hands back the
+/// finished machine — the CLI's text path and `check` render from it.
+pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRun, RunError> {
+    RunPlan::scenario(opts).execute(spec, None)
+}
+
 /// Runs `text` as a scenario and renders the outcome as a report.
 ///
 /// The document is a pure function of `(text, opts)` — the simulator is
@@ -61,47 +279,20 @@ impl std::error::Error for RunError {}
 /// lets `fgqos-serve` cache results content-addressed and still promise
 /// byte-identical responses.
 pub fn scenario_report(text: &str, opts: &RunOptions) -> Result<Report, RunError> {
-    let spec = ScenarioSpec::parse(text).map_err(RunError::Parse)?;
-    let (mut soc, fabric) = spec.build();
-
-    let mut report = Report::new("scenario");
-    report.banner(
-        "SCENARIO",
-        &format!("content {:016x}", fnv64(text.as_bytes())),
-    );
-    report.context("cycles", opts.cycles);
-
-    let ran = match &opts.until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .ok_or_else(|| RunError::Run(format!("--until-done: no master named {name:?}")))?;
-            report.context("until_done", name);
-            match soc.run_until_done(id, opts.cycles) {
-                Some(t) => {
-                    report.context("finished_at", t);
-                    t.get()
-                }
-                None => {
-                    report.note(format!(
-                        "master {name:?} did not finish within {} cycles",
-                        opts.cycles
-                    ));
-                    soc.now().get()
-                }
-            }
-        }
-        None => {
-            soc.run(opts.cycles);
-            opts.cycles
-        }
-    };
-    report.context("simulated_cycles", ran);
-    report.context("clock", soc.freq());
-    leap_block(&mut report, &soc);
-    stats_tables(&mut report, &spec, &soc, &fabric, ran);
-    assertion_block(&mut report, &spec, &soc, &fabric);
-    Ok(report)
+    let parsed = parse(text)?;
+    let plan = RunPlan::scenario(opts);
+    let run = plan.execute(&parsed, None)?;
+    Ok(plan.report(
+        &parsed,
+        &run,
+        &Flavour {
+            kind: "scenario",
+            content: text,
+            context: Vec::new(),
+            cap_suffix: "",
+            leap: true,
+        },
+    ))
 }
 
 /// Appends steady-state leap telemetry to a scenario report.
@@ -320,6 +511,21 @@ fn stats_tables(report: &mut Report, spec: &ScenarioSpec, soc: &Soc, fabric: &Qo
 /// per-point cold runs of the identical schedule.
 const BATCH_QUIESCE_SLACK: u64 = 100_000;
 
+/// Builds the recipe and runs a batch's warm prefix: `warmup` cycles,
+/// then the search for a quiesced boundary within
+/// [`BATCH_QUIESCE_SLACK`]. The flag says whether one opened; when it
+/// did not, the machine stands at `warmup` + slack.
+fn warm(parsed: &ScenarioSpec, warmup: u64) -> Result<(ScenarioRun, bool), RunError> {
+    let mut run = RunPlan::cold(warmup).execute(parsed, None)?;
+    let quiesced = run.soc.quiesce_point(BATCH_QUIESCE_SLACK).is_some();
+    Ok((run, quiesced))
+}
+
+fn capture(soc: Soc) -> Result<SocSnapshot, RunError> {
+    soc.snapshot()
+        .map_err(|e| RunError::Run(format!("boundary snapshot failed: {e}")))
+}
+
 /// Runs a warm-start batch: one report per point, in point order.
 ///
 /// The scenario is built once and warmed for `spec.warmup` cycles, then
@@ -351,7 +557,7 @@ pub fn batch_reports_with_store(
     spec: &BatchSpec,
     store: Option<&BlobStore>,
 ) -> Result<Vec<Report>, RunError> {
-    let parsed = ScenarioSpec::parse(&spec.scenario).map_err(RunError::Parse)?;
+    let parsed = parse(&spec.scenario)?;
     // Resolve `until_done` before simulating anything: an unknown
     // master fails the batch up front, not per point. The probe build
     // also tells us which simulation core is in effect — part of the
@@ -359,50 +565,37 @@ pub fn batch_reports_with_store(
     let (probe, _) = parsed.build();
     if let Some(name) = &spec.until_done {
         if probe.master_id(name).is_none() {
-            return Err(RunError::Run(format!(
-                "--until-done: no master named {name:?}"
-            )));
+            return Err(no_master(name));
         }
     }
     let key = warm_boundary_key(&spec.scenario, spec.warmup, probe.is_naive());
-    if let Some(store) = store {
-        if let Ok(Some(encoded)) = store.get_named(&key) {
-            if let Ok(blob) = SnapshotBlob::decode(&encoded) {
-                let (soc, fabric) = parsed.build();
-                if let Ok(snap) = SocSnapshot::load_into(soc, &blob) {
-                    return point_forks(&parsed, &snap, &fabric, spec);
-                }
-                // A blob that fails to load (stale format, wrong
-                // recipe) is a miss: fall through and re-warm.
-            }
-        }
+    // A blob that fails to decode or load (stale format, wrong recipe)
+    // is a miss: fall through and re-warm.
+    let restored = store
+        .and_then(|store| store.get_named(&key).ok().flatten())
+        .and_then(|encoded| SnapshotBlob::decode(&encoded).ok())
+        .and_then(|blob| restore_snapshot(&blob).ok());
+    if let Some((_, snap, fabric)) = restored {
+        return point_forks(&parsed, &snap, &fabric, spec);
     }
-    let (mut soc, fabric) = parsed.build();
-    soc.run(spec.warmup);
-    if soc.quiesce_point(BATCH_QUIESCE_SLACK).is_some() {
-        let snap = soc
-            .snapshot()
-            .map_err(|e| RunError::Run(format!("boundary snapshot failed: {e}")))?;
-        if let Some(store) = store {
-            // Best-effort write-through; a full disk must not fail the
-            // batch itself.
-            let _ = store.put_named(&key, &snap.to_blob(&spec.scenario).encode());
-        }
-        point_forks(&parsed, &snap, &fabric, spec)
-    } else {
-        // Cold fallback: the failed quiesce search above advanced the
-        // warm SoC to warmup + slack; each cold replay runs the same
-        // schedule so boundary and results stay deterministic.
-        spec.points
+    let (boundary, quiesced) = warm(&parsed, spec.warmup)?;
+    if !quiesced {
+        // Cold fallback: each point replays the warm prefix, including
+        // the failed quiesce search, so boundary and results stay
+        // deterministic.
+        return spec
+            .points
             .iter()
-            .map(|point| {
-                let (mut soc, fabric) = parsed.build();
-                soc.run(spec.warmup);
-                let _ = soc.quiesce_point(BATCH_QUIESCE_SLACK);
-                point_report(&parsed, &mut soc, &fabric, spec, point)
-            })
-            .collect()
+            .map(|point| point_report(&parsed, Source::Warm(spec.warmup), spec, point))
+            .collect();
     }
+    let snap = capture(boundary.soc)?;
+    if let Some(store) = store {
+        // Best-effort write-through; a full disk must not fail the
+        // batch itself.
+        let _ = store.put_named(&key, &snap.to_blob(&spec.scenario).encode());
+    }
+    point_forks(&parsed, &snap, &boundary.fabric, spec)
 }
 
 /// Runs every batch point as a fork of the warm boundary, in point order.
@@ -414,12 +607,7 @@ fn point_forks(
 ) -> Result<Vec<Report>, RunError> {
     spec.points
         .iter()
-        .map(|point| {
-            let mut ctx = ForkCtx::new();
-            let mut fork = snap.fork_with(&mut ctx);
-            let fabric = fabric.fork_rebound(&mut ctx);
-            point_report(parsed, &mut fork, &fabric, spec, point)
-        })
+        .map(|point| point_report(parsed, Source::Fork(snap, fabric), spec, point))
         .collect()
 }
 
@@ -442,16 +630,11 @@ pub fn warm_boundary_key(scenario: &str, warmup: u64, naive: bool) -> String {
 /// pipeline saturated through the whole slack window and has no
 /// serializable boundary.
 pub fn warm_boundary_blob(text: &str, warmup: u64) -> Result<Option<Vec<u8>>, RunError> {
-    let parsed = ScenarioSpec::parse(text).map_err(RunError::Parse)?;
-    let (mut soc, _fabric) = parsed.build();
-    soc.run(warmup);
-    if soc.quiesce_point(BATCH_QUIESCE_SLACK).is_none() {
+    let (boundary, quiesced) = warm(&parse(text)?, warmup)?;
+    if !quiesced {
         return Ok(None);
     }
-    let snap = soc
-        .snapshot()
-        .map_err(|e| RunError::Run(format!("boundary snapshot failed: {e}")))?;
-    Ok(Some(snap.to_blob(text).encode()))
+    Ok(Some(capture(boundary.soc)?.to_blob(text).encode()))
 }
 
 /// Restores a serialized snapshot end to end: rebuilds the SoC skeleton
@@ -463,67 +646,42 @@ pub fn warm_boundary_blob(text: &str, warmup: u64) -> Result<Option<Vec<u8>>, Ru
 pub fn restore_snapshot(
     blob: &SnapshotBlob,
 ) -> Result<(ScenarioSpec, SocSnapshot, QosFabric), RunError> {
-    let parsed = ScenarioSpec::parse(&blob.scenario).map_err(RunError::Parse)?;
+    let parsed = parse(&blob.scenario)?;
     let (soc, fabric) = parsed.build();
     let snap = SocSnapshot::load_into(soc, blob)
         .map_err(|e| RunError::Run(format!("snapshot load failed: {e}")))?;
     Ok((parsed, snap, fabric))
 }
 
-/// Programs one point's knobs at the boundary and renders its divergent
-/// run, mirroring [`scenario_report`]'s document shape.
+/// Programs one point's knobs at the boundary `source` yields and
+/// renders its divergent run, mirroring [`scenario_report`]'s document
+/// shape.
 fn point_report(
     parsed: &ScenarioSpec,
-    soc: &mut Soc,
-    fabric: &QosFabric,
+    source: Source<'_>,
     spec: &BatchSpec,
     point: &BatchPoint,
 ) -> Result<Report, RunError> {
-    fabric.set_best_effort_budgets(
-        point.period.min(u32::MAX as u64) as u32,
-        point.budget.min(u32::MAX as u64) as u32,
-    );
-    let boundary = soc.now().get();
-    let mut report = Report::new("scenario-point");
-    report.banner(
-        "SCENARIO-POINT",
-        &format!("content {:016x}", fnv64(spec.scenario.as_bytes())),
-    );
-    report.context("cycles", spec.cycles);
-    report.context("warmup", spec.warmup);
-    report.context("boundary", boundary);
-    report.context("period", point.period);
-    report.context("budget", point.budget);
-    let ran = match &spec.until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .ok_or_else(|| RunError::Run(format!("--until-done: no master named {name:?}")))?;
-            report.context("until_done", name);
-            match soc.run_until_done(id, spec.cycles) {
-                Some(t) => {
-                    report.context("finished_at", t);
-                    t.get()
-                }
-                None => {
-                    report.note(format!(
-                        "master {name:?} did not finish within {} cycles of the boundary",
-                        spec.cycles
-                    ));
-                    soc.now().get()
-                }
-            }
-        }
-        None => {
-            soc.run(spec.cycles);
-            soc.now().get()
-        }
+    let plan = RunPlan {
+        source,
+        knobs: Some((point.period, point.budget)),
+        cycles: spec.cycles,
+        until_done: spec.until_done.as_deref(),
     };
-    report.context("simulated_cycles", ran);
-    report.context("clock", soc.freq());
-    stats_tables(&mut report, parsed, soc, fabric, ran);
-    assertion_block(&mut report, parsed, soc, fabric);
-    Ok(report)
+    let run = plan.execute(parsed, None)?;
+    let flavour = Flavour {
+        kind: "scenario-point",
+        content: &spec.scenario,
+        context: vec![
+            ("warmup", spec.warmup),
+            ("boundary", run.start),
+            ("period", point.period),
+            ("budget", point.budget),
+        ],
+        cap_suffix: " of the boundary",
+        leap: false,
+    };
+    Ok(plan.report(parsed, &run, &flavour))
 }
 
 /// The simulator-backed [`Executor`] `fgqos serve` injects into
@@ -691,27 +849,22 @@ fn live_frame(
     f.set("end", Value::from(b.end.get()));
     f.set("last", Value::from(b.last));
     let mut masters = Value::arr();
-    for (i, prev_cum) in prev.iter_mut().enumerate().take(soc.master_count()) {
+    let now = cum_snapshot(soc);
+    for (i, (cum, before)) in now.iter().zip(prev.iter()).enumerate() {
         let st = soc.master_stats(MasterId::new(i));
-        let cum = MasterCum {
-            bytes: st.bytes_completed,
-            txns: st.completed_txns,
-            gate: st.gate_stall_cycles,
-            fifo: st.fifo_stall_cycles,
-        };
         let mut m = Value::obj();
         m.set("name", Value::str(spec.masters[i].name.clone()));
-        m.set("bytes", Value::from(cum.bytes - prev_cum.bytes));
-        m.set("txns", Value::from(cum.txns - prev_cum.txns));
-        m.set("gate_stalls", Value::from(cum.gate - prev_cum.gate));
-        m.set("fifo_stalls", Value::from(cum.fifo - prev_cum.fifo));
+        m.set("bytes", Value::from(cum.bytes - before.bytes));
+        m.set("txns", Value::from(cum.txns - before.txns));
+        m.set("gate_stalls", Value::from(cum.gate - before.gate));
+        m.set("fifo_stalls", Value::from(cum.fifo - before.fifo));
         m.set("total_bytes", Value::from(cum.bytes));
         m.set("p50", Value::from(st.latency.percentile(0.50)));
         m.set("p99", Value::from(st.latency.percentile(0.99)));
         m.set("max", Value::from(st.latency.max()));
         masters.push(m);
-        *prev_cum = cum;
     }
+    prev.copy_from_slice(&now);
     f.set("masters", masters);
     let leap = soc.leap_telemetry();
     let mut lv = Value::obj();
@@ -761,51 +914,29 @@ pub fn replay_scenario_text(text: &str, journal: &[JournalEntry]) -> String {
     out
 }
 
-/// The shared live-report shape: like [`scenario_report`]'s document but
+/// The live-report flavour: like [`scenario_report`]'s document but
 /// bannered with the *replay* scenario's content hash and without the
 /// leap-telemetry block (leap counters depend on run segmentation, and
 /// the whole point of this document is byte-comparison between a
 /// windowed live run and its monolithic replay).
-fn live_style_report(
-    replay_text: &str,
-    spec: &ScenarioSpec,
-    soc: &Soc,
-    fabric: &QosFabric,
-    cycles: u64,
-    ran: u64,
-) -> Report {
-    let mut report = Report::new("scenario-live");
-    report.banner(
-        "SCENARIO-LIVE",
-        &format!("content {:016x}", fnv64(replay_text.as_bytes())),
-    );
-    report.context("cycles", cycles);
-    report.context("simulated_cycles", ran);
-    report.context("clock", soc.freq());
-    stats_tables(&mut report, spec, soc, fabric, ran);
-    assertion_block(&mut report, spec, soc, fabric);
-    report
+fn live_flavour(replay_text: &str) -> Flavour<'_> {
+    Flavour {
+        kind: "scenario-live",
+        content: replay_text,
+        context: Vec::new(),
+        cap_suffix: "",
+        leap: false,
+    }
 }
 
-fn build_live_soc(
-    text: &str,
-    opts: &LiveOptions,
-) -> Result<(ScenarioSpec, Soc, QosFabric), RunError> {
+fn parse_live(text: &str, opts: &LiveOptions) -> Result<ScenarioSpec, RunError> {
     if opts.window == 0 {
         return Err(RunError::Run("window must be at least one cycle".into()));
     }
     if opts.cycles == 0 {
         return Err(RunError::Run("cycles must be at least one cycle".into()));
     }
-    let spec = ScenarioSpec::parse(text).map_err(RunError::Parse)?;
-    let (mut soc, fabric) = spec.build();
-    if let Some(naive) = opts.naive {
-        soc.set_naive(naive);
-    }
-    if let Some(leap) = opts.leap {
-        soc.set_leap(leap);
-    }
-    Ok((spec, soc, fabric))
+    parse(text)
 }
 
 /// Masters a live run accepts control writes for: the scenario's
@@ -846,7 +977,7 @@ pub fn live_run(
     mut poll: impl FnMut(&WindowBoundary) -> BoundaryCmd,
     mut sink: impl FnMut(LiveEvent<'_>),
 ) -> Result<LiveOutcome, RunError> {
-    let (spec, mut soc, fabric) = build_live_soc(text, opts)?;
+    let spec = parse_live(text, opts)?;
     if let Some(p) = spec
         .phases
         .iter()
@@ -861,8 +992,9 @@ pub fn live_run(
     let mut journal: Vec<JournalEntry> = Vec::new();
     let mut frames: Vec<Value> = Vec::new();
     let mut aborted = false;
-    let mut prev = cum_snapshot(&soc);
-    soc.run_windowed(opts.cycles, opts.window, |soc, b| {
+    let mut prev = vec![MasterCum::default(); spec.masters.len()];
+    let plan = RunPlan::live(opts);
+    let mut observe = |soc: &mut Soc, fabric: &QosFabric, b: WindowBoundary| {
         let mut applied: Vec<JournalEntry> = Vec::new();
         if !b.last {
             let cmd = poll(&b);
@@ -890,11 +1022,11 @@ pub fn live_run(
         frames.push(frame);
         journal.extend(applied);
         !aborted
-    });
+    };
+    let run = plan.execute(&spec, Some((opts.window, &mut observe)))?;
     let replay_scenario = replay_scenario_text(text, &journal);
-    let fingerprint = soc.fingerprint();
-    let ran = soc.now().get();
-    let report = live_style_report(&replay_scenario, &spec, &soc, &fabric, opts.cycles, ran);
+    let fingerprint = run.soc.fingerprint();
+    let report = plan.report(&spec, &run, &live_flavour(&replay_scenario));
     Ok(LiveOutcome {
         frames,
         journal,
@@ -913,10 +1045,11 @@ pub fn live_replay_report(
     replay_text: &str,
     opts: &LiveOptions,
 ) -> Result<(Report, u64), RunError> {
-    let (spec, mut soc, fabric) = build_live_soc(replay_text, opts)?;
-    soc.run(opts.cycles);
-    let report = live_style_report(replay_text, &spec, &soc, &fabric, opts.cycles, opts.cycles);
-    Ok((report, soc.fingerprint()))
+    let spec = parse_live(replay_text, opts)?;
+    let plan = RunPlan::live(opts);
+    let run = plan.execute(&spec, None)?;
+    let report = plan.report(&spec, &run, &live_flavour(replay_text));
+    Ok((report, run.soc.fingerprint()))
 }
 
 /// The simulator-backed [`LiveExecutor`] behind the v4 `subscribe` op:
