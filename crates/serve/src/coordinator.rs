@@ -31,22 +31,22 @@
 
 use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::client::{Client, ClientError, SubmitOptions};
+use crate::front::{spawn_accept, Backend};
+use crate::live::LiveRegistry;
 use crate::pool::JobState;
 #[cfg(test)]
 use crate::protocol::BatchKind;
-use crate::protocol::{
-    error_response, parse_request, read_frame, response_head, BatchPoint, BatchSpec, FrameError,
-    JobSpec, MetricsFormat, Request, DEFAULT_MAX_FRAME_BYTES,
-};
+use crate::protocol::{error_response, BatchPoint, BatchSpec, JobSpec, DEFAULT_MAX_FRAME_BYTES};
+use crate::LiveExecutor;
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Coordinator configuration; every field has a usable default.
 #[derive(Debug, Clone)]
@@ -108,10 +108,6 @@ fn classify(e: ClientError) -> Forward {
 /// A job's lifecycle state plus its report once done.
 type JobSlot = (JobState, Option<Arc<Value>>);
 
-/// One `submit_batch` ack entry: the point's job id, plus its report
-/// when the point was answered from the cache.
-type BatchAckEntry = (u64, Option<Arc<Value>>);
-
 /// Shared state of a running coordinator.
 pub struct CoordinatorCore {
     workers: Mutex<Vec<Arc<WorkerEntry>>>,
@@ -165,29 +161,6 @@ impl CoordinatorCore {
         }
     }
 
-    /// Registers (or revives) a worker after probing it; returns the
-    /// live worker count.
-    pub fn register_worker(&self, addr: &str) -> Result<usize, String> {
-        if !Self::probe(addr) {
-            return Err(format!("worker at {addr} did not answer a ping"));
-        }
-        let mut workers = self.workers.lock().expect("coordinator poisoned");
-        // A restarted worker re-registers the same address: drop the
-        // dead entry rather than double-counting it.
-        workers.retain(|w| w.addr != addr || w.alive.load(Ordering::Relaxed));
-        if !workers.iter().any(|w| w.addr == addr) {
-            workers.push(Arc::new(WorkerEntry {
-                addr: addr.to_string(),
-                in_flight: AtomicU64::new(0),
-                alive: AtomicBool::new(true),
-            }));
-        }
-        Ok(workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count())
-    }
-
     fn live_workers(&self) -> Vec<Arc<WorkerEntry>> {
         self.workers
             .lock()
@@ -235,24 +208,6 @@ impl CoordinatorCore {
             .expect("coordinator poisoned")
             .insert(id, (JobState::Failed(message), None));
         self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job's current state.
-    pub fn status(&self, id: u64) -> Option<JobState> {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .get(&id)
-            .map(|(s, _)| s.clone())
-    }
-
-    /// A job's state plus its report once done.
-    pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .get(&id)
-            .cloned()
     }
 
     /// Reserves `n` forward slots, refusing when draining.
@@ -351,25 +306,6 @@ impl CoordinatorCore {
             .collect()
     }
 
-    /// Accepts a single job: cache hits are born done, misses are
-    /// forwarded on a fresh thread (re-queued across workers on
-    /// failure).
-    pub fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<(u64, Option<Arc<Value>>), String> {
-        let (hash, key) = job_key(&spec);
-        if let Some(hit) = self.cache.get(hash, &key) {
-            let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-            return Ok((id, Some(hit)));
-        }
-        self.begin_flights(1)?;
-        let id = self.new_job(JobState::Running, None);
-        let core = Arc::clone(self);
-        std::thread::spawn(move || {
-            core.run_single(id, spec, hash, key);
-            core.end_flight();
-        });
-        Ok((id, None))
-    }
-
     fn run_single(&self, id: u64, spec: JobSpec, hash: u64, key: String) {
         loop {
             let Some(worker) = self.pick_worker() else {
@@ -396,66 +332,6 @@ impl CoordinatorCore {
                 }
             }
         }
-    }
-
-    /// Accepts a warm-start batch: per-point cache hits are born done,
-    /// the uncached remainder is sharded into contiguous slices across
-    /// the live workers and merged back in point order.
-    pub fn submit_batch(self: &Arc<Self>, spec: BatchSpec) -> Result<Vec<BatchAckEntry>, String> {
-        struct PendingPoint {
-            id: u64,
-            hash: u64,
-            key: String,
-            point: BatchPoint,
-        }
-        let mut acks = Vec::with_capacity(spec.points.len());
-        let mut pending: Vec<PendingPoint> = Vec::new();
-        for point in &spec.points {
-            let (hash, key) = batch_point_key(&spec, point);
-            match self.cache.get(hash, &key) {
-                Some(hit) => {
-                    let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-                    acks.push((id, Some(hit)));
-                }
-                None => {
-                    let id = self.new_job(JobState::Running, None);
-                    acks.push((id, None));
-                    pending.push(PendingPoint {
-                        id,
-                        hash,
-                        key,
-                        point: *point,
-                    });
-                }
-            }
-        }
-        if pending.is_empty() {
-            return Ok(acks);
-        }
-        // Contiguous slices, one per live worker (at least one slice
-        // even with an empty fleet — the forward loop reports the
-        // failure per job). Earlier slices get the rounding remainder.
-        let slices = self.live_worker_count().max(1).min(pending.len());
-        let base = pending.len() / slices;
-        let extra = pending.len() % slices;
-        self.begin_flights(slices as u64)?;
-        let mut rest = pending;
-        for i in 0..slices {
-            let take = base + usize::from(i < extra);
-            let slice: Vec<PendingPoint> = rest.drain(..take).collect();
-            let sub = BatchSpec {
-                points: slice.iter().map(|p| p.point).collect(),
-                ..spec.clone()
-            };
-            let ids: Vec<u64> = slice.iter().map(|p| p.id).collect();
-            let keys: Vec<(u64, String)> = slice.into_iter().map(|p| (p.hash, p.key)).collect();
-            let core = Arc::clone(self);
-            std::thread::spawn(move || {
-                core.run_batch_slice(ids, keys, sub);
-                core.end_flight();
-            });
-        }
-        Ok(acks)
     }
 
     fn run_batch_slice(&self, ids: Vec<u64>, keys: Vec<(u64, String)>, spec: BatchSpec) {
@@ -511,88 +387,6 @@ impl CoordinatorCore {
             }
             Err(Forward::Fail(m)) => error_response(op, m),
         }
-    }
-
-    /// Drains in-flight forwards, shuts every live worker down and
-    /// returns `(submitted, executed, failed, requeued)`.
-    pub fn drain(&self) -> (u64, u64, u64, u64) {
-        {
-            let mut f = self.flight.lock().expect("coordinator poisoned");
-            f.draining = true;
-            while f.active > 0 {
-                f = self.idle.wait(f).expect("coordinator poisoned");
-            }
-        }
-        self.stop_heartbeat.store(true, Ordering::Relaxed);
-        for worker in self.live_workers() {
-            if let Ok(mut client) = Client::connect(&worker.addr) {
-                let _ = client.set_read_timeout(Some(Duration::from_millis(10_000)));
-                let _ = client.shutdown();
-            }
-            worker.alive.store(false, Ordering::Relaxed);
-        }
-        (
-            self.submitted.load(Ordering::Relaxed),
-            self.executed.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
-            self.requeued.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Fleet metrics under stable `coordinator.*` names (plus the
-    /// shared `serve.cache.*` cache counters).
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let workers = self.workers.lock().expect("coordinator poisoned");
-        reg.gauge("coordinator.workers", workers.len() as f64);
-        reg.gauge(
-            "coordinator.workers.live",
-            workers
-                .iter()
-                .filter(|w| w.alive.load(Ordering::Relaxed))
-                .count() as f64,
-        );
-        for (i, w) in workers.iter().enumerate() {
-            reg.gauge(
-                format!("coordinator.worker.{i}.in_flight"),
-                w.in_flight.load(Ordering::Relaxed) as f64,
-            );
-            reg.gauge(
-                format!("coordinator.worker.{i}.alive"),
-                if w.alive.load(Ordering::Relaxed) {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
-        }
-        drop(workers);
-        reg.counter("coordinator.frames", self.frames.load(Ordering::Relaxed));
-        reg.counter(
-            "coordinator.frames.malformed",
-            self.malformed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.submitted",
-            self.submitted.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.executed",
-            self.executed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.failed",
-            self.failed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.requeued",
-            self.requeued.load(Ordering::Relaxed),
-        );
-        reg.counter("serve.cache.entries", self.cache.len() as u64);
-        reg.counter("serve.cache.hits", self.cache.hits());
-        reg.counter("serve.cache.misses", self.cache.misses());
-        reg.gauge("serve.cache.hit_rate", self.cache.hit_rate());
-        reg
     }
 }
 
@@ -656,25 +450,7 @@ pub fn start_coordinator(cfg: CoordinatorConfig) -> io::Result<CoordinatorHandle
             }
         })
     };
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let core = Arc::clone(&core);
-        let stop = Arc::clone(&stop);
-        let max_frame = cfg.max_frame_bytes;
-        std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else { continue };
-                let core = Arc::clone(&core);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    handle_connection(core, stream, max_frame, stop, addr);
-                });
-            }
-        })
-    };
+    let accept = spawn_accept(listener, Arc::clone(&core), cfg.max_frame_bytes, None)?;
     Ok(CoordinatorHandle {
         addr,
         core,
@@ -683,171 +459,240 @@ pub fn start_coordinator(cfg: CoordinatorConfig) -> io::Result<CoordinatorHandle
     })
 }
 
-fn send(writer: &mut TcpStream, response: &Value) -> io::Result<()> {
-    writer.write_all(response.to_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
+impl Backend for CoordinatorCore {
+    const PENDING_STATE: &'static str = "running";
 
-fn handle_connection(
-    core: Arc<CoordinatorCore>,
-    stream: TcpStream,
-    max_frame: usize,
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        let line = match read_frame(&mut reader, max_frame) {
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::TooLarge { limit }) => {
-                core.frames.fetch_add(1, Ordering::Relaxed);
-                let resp = error_response("error", format!("frame exceeds {limit} bytes"));
-                if send(&mut writer, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Ok(Some(line)) => line,
-        };
-        core.frames.fetch_add(1, Ordering::Relaxed);
-        let request = match parse_request(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                core.malformed.fetch_add(1, Ordering::Relaxed);
-                if send(&mut writer, &error_response("error", message)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let shutting_down = matches!(request, Request::Shutdown);
-        let response = dispatch(&core, request);
-        if send(&mut writer, &response).is_err() && !shutting_down {
-            return;
-        }
-        if shutting_down {
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            return;
-        }
+    fn count_frame(&self, _oversized: bool) {
+        self.frames.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-fn dispatch(core: &Arc<CoordinatorCore>, request: Request) -> Value {
-    match request {
-        Request::Ping => response_head("ping", true),
-        Request::RegisterWorker { addr } => match core.register_worker(&addr) {
-            Err(message) => error_response("register_worker", message),
-            Ok(live) => {
-                let mut resp = response_head("register_worker", true);
-                resp.set("workers", Value::from(live as u64));
-                resp
+    fn count_malformed(&self) {
+        self.malformed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A coordinator applies no ingress regulation of its own.
+    fn admit(&self, _principal: &str, _bytes: u64) -> bool {
+        true
+    }
+
+    /// Cache hits are born done; misses are forwarded on a fresh thread
+    /// (re-queued across workers on failure).
+    fn submit(
+        self: &Arc<Self>,
+        spec: JobSpec,
+        _deadline: Option<Instant>,
+    ) -> Result<(u64, bool), String> {
+        let (hash, key) = job_key(&spec);
+        if let Some(hit) = self.cache.get(hash, &key) {
+            let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
+            return Ok((id, true));
+        }
+        self.begin_flights(1)?;
+        let id = self.new_job(JobState::Running, None);
+        let core = Arc::clone(self);
+        std::thread::spawn(move || {
+            core.run_single(id, spec, hash, key);
+            core.end_flight();
+        });
+        Ok((id, false))
+    }
+
+    /// Per-point cache hits are born done;
+    /// the uncached remainder is sharded into contiguous slices across
+    /// the live workers and merged back in point order.
+    fn submit_batch(
+        self: &Arc<Self>,
+        spec: BatchSpec,
+        _deadline: Option<Instant>,
+    ) -> Result<(Vec<(u64, bool)>, Option<usize>), String> {
+        struct PendingPoint {
+            id: u64,
+            hash: u64,
+            key: String,
+            point: BatchPoint,
+        }
+        let mut acks = Vec::with_capacity(spec.points.len());
+        let mut pending: Vec<PendingPoint> = Vec::new();
+        for point in &spec.points {
+            let (hash, key) = batch_point_key(&spec, point);
+            match self.cache.get(hash, &key) {
+                Some(hit) => {
+                    let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
+                    acks.push((id, true));
+                }
+                None => {
+                    let id = self.new_job(JobState::Running, None);
+                    acks.push((id, false));
+                    pending.push(PendingPoint {
+                        id,
+                        hash,
+                        key,
+                        point: *point,
+                    });
+                }
             }
-        },
-        Request::Submit { spec, .. } => match core.submit(spec) {
-            Err(message) => error_response("submit", message),
-            Ok((job, cached)) => {
-                let mut resp = response_head("submit", true);
-                resp.set("job", Value::from(job));
-                resp.set("cached", Value::Bool(cached.is_some()));
-                resp.set(
-                    "state",
-                    Value::str(if cached.is_some() { "done" } else { "running" }),
-                );
-                resp
-            }
-        },
-        Request::SubmitBatch { spec, .. } => match core.submit_batch(spec) {
-            Err(message) => error_response("submit_batch", message),
-            Ok(acks) => {
-                let mut resp = response_head("submit_batch", true);
-                let mut jobs = Value::arr();
-                let mut cached = Value::arr();
-                for (id, hit) in &acks {
-                    jobs.push(Value::from(*id));
-                    cached.push(Value::Bool(hit.is_some()));
-                }
-                resp.set("jobs", jobs);
-                resp.set("cached", cached);
-                resp
-            }
-        },
-        Request::Status { job } => match core.status(job) {
-            None => error_response("status", format!("unknown job {job}")),
-            Some(state) => {
-                let mut resp = response_head("status", true);
-                resp.set("job", Value::from(job));
-                resp.set("state", Value::str(state.wire_name()));
-                if let JobState::Failed(message) = state {
-                    resp.set("error", Value::str(message));
-                }
-                resp
-            }
-        },
-        Request::Result { job } => match core.result(job) {
-            None => error_response("result", format!("unknown job {job}")),
-            Some((state, report)) => match state {
-                JobState::Done => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("done"));
-                    let report = report.expect("done jobs carry a report");
-                    resp.set("report", (*report).clone());
-                    resp
-                }
-                JobState::Failed(message) => {
-                    let mut resp = error_response("result", message);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("failed"));
-                    resp
-                }
-                pending => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str(pending.wire_name()));
-                    resp
-                }
-            },
-        },
-        Request::Metrics { format } => {
-            let registry = core.metrics();
-            let mut resp = response_head("metrics", true);
-            match format {
-                MetricsFormat::Json => resp.set("metrics", registry.to_json()),
-                MetricsFormat::Csv => resp.set("csv", Value::str(registry.to_csv())),
+        }
+        if pending.is_empty() {
+            return Ok((acks, None));
+        }
+        // Contiguous slices, one per live worker (at least one slice
+        // even with an empty fleet — the forward loop reports the
+        // failure per job). Earlier slices get the rounding remainder.
+        let slices = self.live_worker_count().max(1).min(pending.len());
+        let base = pending.len() / slices;
+        let extra = pending.len() % slices;
+        self.begin_flights(slices as u64)?;
+        let mut rest = pending;
+        for i in 0..slices {
+            let take = base + usize::from(i < extra);
+            let slice: Vec<PendingPoint> = rest.drain(..take).collect();
+            let sub = BatchSpec {
+                points: slice.iter().map(|p| p.point).collect(),
+                ..spec.clone()
             };
-            resp
+            let ids: Vec<u64> = slice.iter().map(|p| p.id).collect();
+            let keys: Vec<(u64, String)> = slice.into_iter().map(|p| (p.hash, p.key)).collect();
+            let core = Arc::clone(self);
+            std::thread::spawn(move || {
+                core.run_batch_slice(ids, keys, sub);
+                core.end_flight();
+            });
         }
-        Request::Snapshot { scenario, warmup } => {
-            let mut req = Value::obj();
-            req.set("op", Value::str("snapshot"));
-            req.set("scenario", Value::str(scenario));
-            req.set("warmup", Value::from(warmup));
-            core.forward_raw("snapshot", &req)
+        Ok((acks, None))
+    }
+
+    fn status(&self, id: u64) -> Option<(JobState, Option<usize>)> {
+        self.jobs
+            .lock()
+            .expect("coordinator poisoned")
+            .get(&id)
+            .map(|(s, _)| (s.clone(), None))
+    }
+
+    fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
+        self.jobs
+            .lock()
+            .expect("coordinator poisoned")
+            .get(&id)
+            .cloned()
+    }
+
+    /// Fleet metrics under stable `coordinator.*` names (plus the
+    /// shared `serve.cache.*` cache counters).
+    fn metrics(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        let workers = self.workers.lock().expect("coordinator poisoned");
+        reg.gauge("coordinator.workers", workers.len() as f64);
+        reg.gauge(
+            "coordinator.workers.live",
+            workers
+                .iter()
+                .filter(|w| w.alive.load(Ordering::Relaxed))
+                .count() as f64,
+        );
+        for (i, w) in workers.iter().enumerate() {
+            reg.gauge(
+                format!("coordinator.worker.{i}.in_flight"),
+                w.in_flight.load(Ordering::Relaxed) as f64,
+            );
+            reg.gauge(
+                format!("coordinator.worker.{i}.alive"),
+                if w.alive.load(Ordering::Relaxed) {
+                    1.0
+                } else {
+                    0.0
+                },
+            );
         }
-        // Live runs are bound to one executing process; a coordinator
-        // only routes batch work, so the streaming plane is refused here
-        // — point `subscribe`/`control` at a worker directly.
-        Request::Subscribe { .. } => {
-            error_response("subscribe", "coordinator does not host live runs")
+        drop(workers);
+        reg.counter("coordinator.frames", self.frames.load(Ordering::Relaxed));
+        reg.counter(
+            "coordinator.frames.malformed",
+            self.malformed.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "coordinator.jobs.submitted",
+            self.submitted.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "coordinator.jobs.executed",
+            self.executed.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "coordinator.jobs.failed",
+            self.failed.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            "coordinator.jobs.requeued",
+            self.requeued.load(Ordering::Relaxed),
+        );
+        reg.counter("serve.cache.entries", self.cache.len() as u64);
+        reg.counter("serve.cache.hits", self.cache.hits());
+        reg.counter("serve.cache.misses", self.cache.misses());
+        reg.gauge("serve.cache.hit_rate", self.cache.hit_rate());
+        reg
+    }
+
+    /// Registers (or revives) a worker after probing it.
+    fn register_worker(&self, addr: &str) -> Result<usize, String> {
+        if !Self::probe(addr) {
+            return Err(format!("worker at {addr} did not answer a ping"));
         }
-        Request::Control { .. } => error_response("control", "coordinator does not host live runs"),
-        Request::Journal { .. } => error_response("journal", "coordinator does not host live runs"),
-        Request::Shutdown => {
-            let (submitted, executed, failed, requeued) = core.drain();
-            let mut resp = response_head("shutdown", true);
-            resp.set("submitted", Value::from(submitted));
-            resp.set("executed", Value::from(executed));
-            resp.set("failed", Value::from(failed));
-            resp.set("requeued", Value::from(requeued));
-            resp
+        let mut workers = self.workers.lock().expect("coordinator poisoned");
+        // A restarted worker re-registers the same address: drop the
+        // dead entry rather than double-counting it.
+        workers.retain(|w| w.addr != addr || w.alive.load(Ordering::Relaxed));
+        if !workers.iter().any(|w| w.addr == addr) {
+            workers.push(Arc::new(WorkerEntry {
+                addr: addr.to_string(),
+                in_flight: AtomicU64::new(0),
+                alive: AtomicBool::new(true),
+            }));
         }
+        Ok(workers
+            .iter()
+            .filter(|w| w.alive.load(Ordering::Relaxed))
+            .count())
+    }
+
+    fn snapshot(&self, scenario: String, warmup: u64) -> Value {
+        let mut req = Value::obj();
+        req.set("op", Value::str("snapshot"));
+        req.set("scenario", Value::str(scenario));
+        req.set("warmup", Value::from(warmup));
+        self.forward_raw("snapshot", &req)
+    }
+
+    /// Live runs are bound to one executing process; a coordinator only
+    /// routes batch work, so the streaming plane is refused here — point
+    /// `subscribe`/`control` at a worker directly.
+    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
+        Err("coordinator does not host live runs")
+    }
+
+    /// Drains in-flight forwards and shuts every live worker down.
+    fn drain(&self) -> Vec<(&'static str, u64)> {
+        {
+            let mut f = self.flight.lock().expect("coordinator poisoned");
+            f.draining = true;
+            while f.active > 0 {
+                f = self.idle.wait(f).expect("coordinator poisoned");
+            }
+        }
+        self.stop_heartbeat.store(true, Ordering::Relaxed);
+        for worker in self.live_workers() {
+            if let Ok(mut client) = Client::connect(&worker.addr) {
+                let _ = client.set_read_timeout(Some(Duration::from_millis(10_000)));
+                let _ = client.shutdown();
+            }
+            worker.alive.store(false, Ordering::Relaxed);
+        }
+        vec![
+            ("submitted", self.submitted.load(Ordering::Relaxed)),
+            ("executed", self.executed.load(Ordering::Relaxed)),
+            ("failed", self.failed.load(Ordering::Relaxed)),
+            ("requeued", self.requeued.load(Ordering::Relaxed)),
+        ]
     }
 }
 

@@ -38,6 +38,7 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod coordinator;
+mod front;
 pub mod live;
 pub mod pool;
 pub mod protocol;

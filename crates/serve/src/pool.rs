@@ -25,7 +25,7 @@ use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::live::LiveRegistry;
 use crate::protocol::{BatchSpec, JobSpec};
-use crate::{BatchExecutor, Executor};
+use crate::{BatchExecutor, Executor, LiveExecutor, SnapshotExecutor};
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
@@ -180,6 +180,10 @@ pub struct ServeCore {
     pub admission: AdmissionControl,
     /// The live-run table (v4 `subscribe`/`control`/`journal`).
     pub live: LiveRegistry,
+    /// Serves the v3 `snapshot` op.
+    pub(crate) snapshot_executor: SnapshotExecutor,
+    /// Runs the jobs behind new-run `subscribe` requests.
+    pub(crate) live_executor: LiveExecutor,
     workers: usize,
     started: Instant,
     busy_nanos: AtomicU64,
@@ -207,6 +211,8 @@ impl ServeCore {
             cache,
             admission: AdmissionControl::new(admission),
             live: LiveRegistry::new(),
+            snapshot_executor: crate::unsupported_snapshot_executor(),
+            live_executor: crate::unsupported_live_executor(),
             workers,
             started: Instant::now(),
             busy_nanos: AtomicU64::new(0),

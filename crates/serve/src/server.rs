@@ -1,32 +1,31 @@
-//! The TCP server: accept loop, per-connection protocol handlers, and
-//! lifecycle plumbing around [`ServeCore`].
+//! The TCP server: lifecycle plumbing around [`ServeCore`] behind the
+//! shared front end (`front.rs`).
 //!
-//! One thread accepts connections, one detached thread serves each
-//! connection, and [`worker_count`]-many pool workers execute jobs. A
-//! `shutdown` request drains the pool (every queued job still runs),
-//! answers with the drain summary, and only then stops the accept loop —
-//! so a client that observes the shutdown response knows the server is
-//! quiescent.
+//! The front end accepts connections and serves each on its own thread;
+//! [`worker_count`]-many pool workers execute jobs. A `shutdown` request
+//! drains the pool (every queued job still runs), answers with the drain
+//! summary, and only then stops the accept loop — so a client that
+//! observes the shutdown response knows the server is quiescent.
 
 use crate::admission::AdmissionConfig;
 use crate::cache::ResultCache;
-use crate::live::{ControlWrite, LiveSession, NextFrame};
+use crate::front::{spawn_accept, Backend};
+use crate::live::LiveRegistry;
 use crate::pool::{worker_count, JobState, ServeCore};
 use crate::protocol::{
-    error_response, parse_request, read_frame, response_head, to_hex, FrameError, LiveSpec,
-    MetricsFormat, Request, DEFAULT_MAX_FRAME_BYTES,
+    error_response, response_head, to_hex, BatchSpec, JobSpec, DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::{
     unsupported_batch_executor, unsupported_live_executor, unsupported_snapshot_executor,
     BatchExecutor, Executor, LiveExecutor, SnapshotExecutor,
 };
 use fgqos_sim::json::Value;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use fgqos_sim::metrics::MetricsRegistry;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Server configuration; every field has a usable default.
 #[derive(Debug, Clone)]
@@ -107,37 +106,21 @@ pub fn start_with(
     executor: Executor,
     batch_executor: BatchExecutor,
 ) -> io::Result<ServerHandle> {
-    start_full(
-        cfg,
-        executor,
-        batch_executor,
-        unsupported_snapshot_executor(),
-    )
-}
-
-/// [`start_with`], plus a [`SnapshotExecutor`] serving the v3
-/// `snapshot` op (warm-boundary blobs over the wire). New-run
-/// `subscribe` requests are refused; use [`start_live`] to install a
-/// [`LiveExecutor`].
-pub fn start_full(
-    cfg: ServeConfig,
-    executor: Executor,
-    batch_executor: BatchExecutor,
-    snapshot_executor: SnapshotExecutor,
-) -> io::Result<ServerHandle> {
     start_live(
         cfg,
         executor,
         batch_executor,
-        snapshot_executor,
+        unsupported_snapshot_executor(),
         unsupported_live_executor(),
     )
 }
 
-/// [`start_full`], plus a [`LiveExecutor`] serving the v4 live plane:
-/// `subscribe` starts a windowed run on a dedicated thread and streams
-/// its frames, `control` queues register writes against it, `journal`
-/// fetches the recorded control journal and replay scenario.
+/// [`start_with`], plus a [`SnapshotExecutor`] serving the v3
+/// `snapshot` op (warm-boundary blobs over the wire) and a
+/// [`LiveExecutor`] serving the v4 live plane: `subscribe` starts a
+/// windowed run on a dedicated thread and streams its frames, `control`
+/// queues register writes against it, `journal` fetches the recorded
+/// control journal and replay scenario.
 pub fn start_live(
     cfg: ServeConfig,
     executor: Executor,
@@ -156,7 +139,10 @@ pub fn start_live(
         Some(dir) => ResultCache::persistent(dir)?,
         None => ResultCache::new(),
     };
-    let core = Arc::new(ServeCore::with_cache(threads, cfg.admission, cache));
+    let mut core = ServeCore::with_cache(threads, cfg.admission, cache);
+    core.snapshot_executor = snapshot_executor;
+    core.live_executor = live_executor;
+    let core = Arc::new(core);
     let workers = (0..threads)
         .map(|lane| {
             let core = Arc::clone(&core);
@@ -165,37 +151,12 @@ pub fn start_live(
             std::thread::spawn(move || core.worker_loop(lane, executor, batch_executor))
         })
         .collect();
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let core = Arc::clone(&core);
-        let stop = Arc::clone(&stop);
-        let max_frame = cfg.max_frame_bytes;
-        let default_deadline_ms = cfg.default_deadline_ms;
-        std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else { continue };
-                let core = Arc::clone(&core);
-                let stop = Arc::clone(&stop);
-                let snapshot_executor = Arc::clone(&snapshot_executor);
-                let live_executor = Arc::clone(&live_executor);
-                std::thread::spawn(move || {
-                    handle_connection(
-                        core,
-                        snapshot_executor,
-                        live_executor,
-                        stream,
-                        max_frame,
-                        default_deadline_ms,
-                        stop,
-                        addr,
-                    );
-                });
-            }
-        })
-    };
+    let accept = spawn_accept(
+        listener,
+        Arc::clone(&core),
+        cfg.max_frame_bytes,
+        cfg.default_deadline_ms,
+    )?;
     Ok(ServerHandle {
         addr,
         core,
@@ -204,386 +165,89 @@ pub fn start_live(
     })
 }
 
-fn send(writer: &mut TcpStream, response: &Value) -> io::Result<()> {
-    writer.write_all(response.to_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
+impl Backend for ServeCore {
+    const PENDING_STATE: &'static str = "queued";
 
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    core: Arc<ServeCore>,
-    snapshot_executor: SnapshotExecutor,
-    live_executor: LiveExecutor,
-    stream: TcpStream,
-    max_frame: usize,
-    default_deadline_ms: Option<u64>,
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        let line = match read_frame(&mut reader, max_frame) {
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::TooLarge { limit }) => {
-                core.count_frame();
-                core.count_oversized();
-                let resp = error_response("error", format!("frame exceeds {limit} bytes"));
-                if send(&mut writer, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Ok(Some(line)) => line,
-        };
-        core.count_frame();
-        let request = match parse_request(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                core.count_malformed();
-                if send(&mut writer, &error_response("error", message)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        // `subscribe` breaks the one-response-per-request shape: after
-        // the acknowledgement the connection streams frames until the
-        // end-of-stream object, then reverts to request/response. It is
-        // the only op handled outside `dispatch`.
-        if let Request::Subscribe { spec, run, client } = request {
-            match serve_subscription(
-                &core,
-                &live_executor,
-                &mut writer,
-                spec,
-                run,
-                client,
-                &line,
-                &peer,
-            ) {
-                Ok(()) => continue,
-                Err(_) => return,
-            }
-        }
-        let shutting_down = matches!(request, Request::Shutdown);
-        let response = dispatch(
-            &core,
-            &snapshot_executor,
-            request,
-            &line,
-            &peer,
-            default_deadline_ms,
-        );
-        if send(&mut writer, &response).is_err() && !shutting_down {
-            return;
-        }
-        if shutting_down {
-            // The drain already completed inside dispatch; now stop the
-            // accept loop. A self-connection unblocks its accept() call.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            return;
+    fn count_frame(&self, oversized: bool) {
+        ServeCore::count_frame(self);
+        if oversized {
+            self.count_oversized();
         }
     }
-}
 
-/// Serves one `subscribe` request end to end: acknowledge, stream
-/// frames until the end-of-stream object, then hand the connection back
-/// to the request loop. `Ok` means the connection stays usable (even
-/// after a refused subscription); `Err` means the peer went away.
-#[allow(clippy::too_many_arguments)]
-fn serve_subscription(
-    core: &ServeCore,
-    live_executor: &LiveExecutor,
-    writer: &mut TcpStream,
-    spec: Option<LiveSpec>,
-    run: Option<u64>,
-    client: Option<String>,
-    line: &str,
-    peer: &str,
-) -> io::Result<()> {
-    let (session, presub): (Arc<LiveSession>, Option<u64>) = match (spec, run) {
-        (Some(spec), None) => {
-            // Starting a run is charged like a submit: the whole frame
-            // (scenario text included) against the client's bucket.
-            let principal = client.unwrap_or_else(|| format!("peer:{peer}"));
-            if !core.admission.admit(&principal, line.len() as u64 + 1) {
-                let mut resp = error_response(
-                    "subscribe",
-                    format!("admission denied: client {principal:?} is over its ingress budget"),
-                );
-                resp.set("denied", Value::Bool(true));
-                return send(writer, &resp);
-            }
-            let session = match core.live.create() {
-                Ok(session) => session,
-                Err(message) => return send(writer, &error_response("subscribe", message)),
-            };
-            // Register the creating subscriber *before* the executor
-            // thread exists: with zero pacing the run can publish its
-            // first frames immediately, and the creator must see every
-            // one of them (an attaching subscriber, by contrast, only
-            // sees frames from its attach point on).
-            let sub = session.subscribe();
-            let executor = Arc::clone(live_executor);
-            let run_session = Arc::clone(&session);
-            std::thread::spawn(move || {
-                // Scenario errors surface through the session (a failed
-                // end-of-stream object), not the subscribe ack: by the
-                // time the executor parses anything the ack is long
-                // gone.
-                if let Err(message) = executor(&spec, Arc::clone(&run_session)) {
-                    if !run_session.finished() {
-                        run_session.finish(None, None, Some(message));
-                    }
-                }
-            });
-            (session, Some(sub))
-        }
-        (None, Some(run)) => match core.live.get(run) {
-            Some(session) => (session, None),
-            None => {
-                return send(
-                    writer,
-                    &error_response("subscribe", format!("unknown live run {run}")),
-                )
-            }
-        },
-        // parse_request guarantees exactly one of spec/run.
-        _ => return send(writer, &error_response("subscribe", "malformed subscribe")),
-    };
-    // Register (if attaching) before acknowledging so no frame can slip
-    // between the ack and the stream.
-    let sub = presub.unwrap_or_else(|| session.subscribe());
-    let mut ack = response_head("subscribe", true);
-    ack.set("run", Value::from(session.id()));
-    if send(writer, &ack).is_err() {
-        session.unsubscribe(sub);
-        return Err(io::Error::other("peer gone"));
+    fn count_malformed(&self) {
+        ServeCore::count_malformed(self);
     }
-    loop {
-        match session.next_frame(sub, Duration::from_millis(500)) {
-            NextFrame::TimedOut => continue,
-            NextFrame::Frame(frame) => {
-                if send(writer, &frame).is_err() {
-                    session.unsubscribe(sub);
-                    return Err(io::Error::other("peer gone"));
-                }
-            }
-            NextFrame::End(end) => {
-                session.unsubscribe(sub);
-                return send(writer, &end);
-            }
-        }
-    }
-}
 
-fn dispatch(
-    core: &ServeCore,
-    snapshot_executor: &SnapshotExecutor,
-    request: Request,
-    line: &str,
-    peer: &str,
-    default_deadline_ms: Option<u64>,
-) -> Value {
-    match request {
-        Request::Ping => response_head("ping", true),
-        Request::RegisterWorker { .. } => {
-            error_response("register_worker", "this server is not a coordinator")
-        }
-        Request::Snapshot { scenario, warmup } => {
-            // Warming runs inline on the connection thread: the op is
-            // synchronous by design (its caller is usually another
-            // server's warm-boundary store, not an interactive client).
-            match snapshot_executor(&scenario, warmup) {
-                Err(message) => error_response("snapshot", message),
-                Ok(None) => error_response(
-                    "snapshot",
-                    "scenario has no quiesced boundary within the slack window",
-                ),
-                Ok(Some(encoded)) => {
-                    let mut resp = response_head("snapshot", true);
-                    resp.set("bytes", Value::from(encoded.len() as u64));
-                    resp.set("blob_hex", Value::str(to_hex(&encoded)));
-                    resp
-                }
-            }
-        }
-        Request::Submit {
-            spec,
-            client,
-            deadline_ms,
-        } => {
-            let principal = client.unwrap_or_else(|| format!("peer:{peer}"));
-            // Charge the frame (newline included) to the client's bucket.
-            if !core.admission.admit(&principal, line.len() as u64 + 1) {
-                let mut resp = error_response(
-                    "submit",
-                    format!("admission denied: client {principal:?} is over its ingress budget"),
-                );
-                resp.set("denied", Value::Bool(true));
-                return resp;
-            }
-            let deadline = deadline_ms
-                .or(default_deadline_ms)
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
-            match core.submit(spec, deadline) {
-                Err(message) => error_response("submit", message),
-                Ok((job, cached)) => {
-                    let mut resp = response_head("submit", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("cached", Value::Bool(cached.is_some()));
-                    resp.set(
-                        "state",
-                        Value::str(if cached.is_some() { "done" } else { "queued" }),
-                    );
-                    resp
-                }
-            }
-        }
-        Request::SubmitBatch {
-            spec,
-            client,
-            deadline_ms,
-        } => {
-            let principal = client.unwrap_or_else(|| format!("peer:{peer}"));
-            // The whole frame — base scenario plus every point — is
-            // charged to the client's bucket in one admission decision:
-            // a sweep slice competes for ingress like the equivalent
-            // sequence of single submissions would.
-            if !core.admission.admit(&principal, line.len() as u64 + 1) {
-                let mut resp = error_response(
-                    "submit_batch",
-                    format!("admission denied: client {principal:?} is over its ingress budget"),
-                );
-                resp.set("denied", Value::Bool(true));
-                return resp;
-            }
-            let deadline = deadline_ms
-                .or(default_deadline_ms)
-                .map(|ms| Instant::now() + Duration::from_millis(ms));
-            match core.submit_batch(spec, deadline) {
-                Err(message) => error_response("submit_batch", message),
-                Ok((acks, lane)) => {
-                    let mut resp = response_head("submit_batch", true);
-                    let mut jobs = Value::arr();
-                    let mut cached = Value::arr();
-                    for (id, hit) in &acks {
-                        jobs.push(Value::from(*id));
-                        cached.push(Value::Bool(hit.is_some()));
-                    }
-                    resp.set("jobs", jobs);
-                    resp.set("cached", cached);
-                    if let Some(lane) = lane {
-                        resp.set("lane", Value::from(lane as u64));
-                    }
-                    resp
-                }
-            }
-        }
-        Request::Status { job } => match core.status(job) {
-            None => error_response("status", format!("unknown job {job}")),
-            Some((state, position)) => {
-                let mut resp = response_head("status", true);
-                resp.set("job", Value::from(job));
-                resp.set("state", Value::str(state.wire_name()));
-                if let Some(pos) = position {
-                    resp.set("position", Value::from(pos as u64));
-                }
-                if let JobState::Failed(message) = state {
-                    resp.set("error", Value::str(message));
-                }
+    fn admit(&self, principal: &str, bytes: u64) -> bool {
+        self.admission.admit(principal, bytes)
+    }
+
+    fn submit(
+        self: &Arc<Self>,
+        spec: JobSpec,
+        deadline: Option<Instant>,
+    ) -> Result<(u64, bool), String> {
+        ServeCore::submit(self, spec, deadline).map(|(job, cached)| (job, cached.is_some()))
+    }
+
+    fn submit_batch(
+        self: &Arc<Self>,
+        spec: BatchSpec,
+        deadline: Option<Instant>,
+    ) -> Result<(Vec<(u64, bool)>, Option<usize>), String> {
+        let (acks, lane) = ServeCore::submit_batch(self, spec, deadline)?;
+        let acks = acks.into_iter().map(|(id, hit)| (id, hit.is_some()));
+        Ok((acks.collect(), lane))
+    }
+
+    fn status(&self, job: u64) -> Option<(JobState, Option<usize>)> {
+        ServeCore::status(self, job)
+    }
+
+    fn result(&self, job: u64) -> Option<(JobState, Option<Arc<Value>>)> {
+        ServeCore::result(self, job)
+    }
+
+    fn metrics(&self) -> MetricsRegistry {
+        ServeCore::metrics(self)
+    }
+
+    fn register_worker(&self, _addr: &str) -> Result<usize, String> {
+        Err("this server is not a coordinator".into())
+    }
+
+    fn snapshot(&self, scenario: String, warmup: u64) -> Value {
+        // Warming runs inline on the connection thread: the op is
+        // synchronous by design (its caller is usually another
+        // server's warm-boundary store, not an interactive client).
+        match (self.snapshot_executor)(&scenario, warmup) {
+            Err(message) => error_response("snapshot", message),
+            Ok(None) => error_response(
+                "snapshot",
+                "scenario has no quiesced boundary within the slack window",
+            ),
+            Ok(Some(encoded)) => {
+                let mut resp = response_head("snapshot", true);
+                resp.set("bytes", Value::from(encoded.len() as u64));
+                resp.set("blob_hex", Value::str(to_hex(&encoded)));
                 resp
             }
-        },
-        Request::Result { job } => match core.result(job) {
-            None => error_response("result", format!("unknown job {job}")),
-            Some((state, report)) => match state {
-                JobState::Done => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("done"));
-                    // The report is embedded verbatim: a cached job's
-                    // response is byte-identical to the fresh run's.
-                    let report = report.expect("done jobs carry a report");
-                    resp.set("report", (*report).clone());
-                    resp
-                }
-                JobState::Failed(message) => {
-                    let mut resp = error_response("result", message);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("failed"));
-                    resp
-                }
-                JobState::Expired => {
-                    let mut resp = error_response("result", "deadline expired before execution");
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("expired"));
-                    resp
-                }
-                pending => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str(pending.wire_name()));
-                    resp
-                }
-            },
-        },
-        Request::Metrics { format } => {
-            let registry = core.metrics();
-            let mut resp = response_head("metrics", true);
-            match format {
-                MetricsFormat::Json => resp.set("metrics", registry.to_json()),
-                MetricsFormat::Csv => resp.set("csv", Value::str(registry.to_csv())),
-            };
-            resp
         }
-        // `subscribe` is intercepted in `handle_connection` (it turns
-        // the connection into a stream); reaching here is impossible.
-        Request::Subscribe { .. } => error_response("subscribe", "internal: unrouted subscribe"),
-        Request::Control { run, target, set } => match core.live.get(run) {
-            None => error_response("control", format!("unknown live run {run}")),
-            Some(session) => match session.control(ControlWrite { target, set }) {
-                Err(message) => error_response("control", message),
-                Ok(position) => {
-                    let mut resp = response_head("control", true);
-                    resp.set("run", Value::from(run));
-                    resp.set("queued", Value::from(position));
-                    resp
-                }
-            },
-        },
-        Request::Journal { run } => match core.live.get(run) {
-            None => error_response("journal", format!("unknown live run {run}")),
-            Some(session) => {
-                let mut resp = response_head("journal", true);
-                if let Some(pairs) = session.journal_doc().as_obj() {
-                    for (key, value) in pairs {
-                        resp.set(key.clone(), value.clone());
-                    }
-                }
-                resp
-            }
-        },
-        Request::Shutdown => {
-            let summary = core.drain();
-            let mut resp = response_head("shutdown", true);
-            resp.set("submitted", Value::from(summary.submitted));
-            resp.set("executed", Value::from(summary.executed));
-            resp.set("failed", Value::from(summary.failed));
-            resp.set("expired", Value::from(summary.expired));
-            resp
-        }
+    }
+
+    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
+        Ok((&self.live, &self.live_executor))
+    }
+
+    fn drain(&self) -> Vec<(&'static str, u64)> {
+        let summary = ServeCore::drain(self);
+        vec![
+            ("submitted", summary.submitted),
+            ("executed", summary.executed),
+            ("failed", summary.failed),
+            ("expired", summary.expired),
+        ]
     }
 }
 
@@ -592,7 +256,9 @@ mod tests {
     use super::*;
     use crate::protocol::JobSpec;
     use fgqos_bench::report::Report;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn stub_executor() -> Executor {
         Arc::new(|spec: &JobSpec| {
