@@ -306,63 +306,41 @@ impl CoordinatorCore {
             .collect()
     }
 
-    fn run_single(&self, id: u64, spec: JobSpec, hash: u64, key: String) {
-        loop {
+    /// Forwards work to the least-loaded live worker until it resolves
+    /// `jobs` — `(id, cache hash, cache key)` each, in report order —
+    /// re-queueing onto the remaining fleet whenever a worker is lost.
+    fn forward_jobs(
+        &self,
+        jobs: Vec<(u64, u64, String)>,
+        forward: impl Fn(&WorkerEntry) -> Result<Vec<Value>, Forward>,
+    ) {
+        let outcome = loop {
             let Some(worker) = self.pick_worker() else {
-                self.fail_job(id, "no live workers in the fleet".into());
-                return;
+                break Err("no live workers in the fleet".to_string());
             };
             worker.in_flight.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.forward_submit(&worker, &spec);
+            let outcome = forward(&worker);
             worker.in_flight.fetch_sub(1, Ordering::Relaxed);
             match outcome {
-                Ok(report) => {
+                Ok(reports) => break Ok(reports),
+                Err(Forward::Down(_)) => {
+                    worker.alive.store(false, Ordering::Relaxed);
+                    self.requeued.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(Forward::Fail(message)) => break Err(message),
+            }
+        };
+        match outcome {
+            Ok(reports) => {
+                for ((id, hash, key), report) in jobs.into_iter().zip(reports) {
                     let report = Arc::new(report);
                     self.cache.insert(hash, key, Arc::clone(&report));
                     self.finish_job(id, report);
-                    return;
-                }
-                Err(Forward::Down(_)) => {
-                    worker.alive.store(false, Ordering::Relaxed);
-                    self.requeued.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(Forward::Fail(message)) => {
-                    self.fail_job(id, message);
-                    return;
                 }
             }
-        }
-    }
-
-    fn run_batch_slice(&self, ids: Vec<u64>, keys: Vec<(u64, String)>, spec: BatchSpec) {
-        loop {
-            let Some(worker) = self.pick_worker() else {
-                for id in &ids {
-                    self.fail_job(*id, "no live workers in the fleet".into());
-                }
-                return;
-            };
-            worker.in_flight.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.forward_batch(&worker, &spec);
-            worker.in_flight.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
-                Ok(reports) => {
-                    for ((id, (hash, key)), report) in ids.iter().zip(keys).zip(reports) {
-                        let report = Arc::new(report);
-                        self.cache.insert(hash, key, Arc::clone(&report));
-                        self.finish_job(*id, report);
-                    }
-                    return;
-                }
-                Err(Forward::Down(_)) => {
-                    worker.alive.store(false, Ordering::Relaxed);
-                    self.requeued.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(Forward::Fail(message)) => {
-                    for id in &ids {
-                        self.fail_job(*id, message.clone());
-                    }
-                    return;
+            Err(message) => {
+                for (id, ..) in jobs {
+                    self.fail_job(id, message.clone());
                 }
             }
         }
@@ -481,20 +459,22 @@ impl Backend for CoordinatorCore {
         self: &Arc<Self>,
         spec: JobSpec,
         _deadline: Option<Instant>,
-    ) -> Result<(u64, bool), String> {
+    ) -> Result<(u64, Option<Arc<Value>>), String> {
         let (hash, key) = job_key(&spec);
         if let Some(hit) = self.cache.get(hash, &key) {
             let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-            return Ok((id, true));
+            return Ok((id, Some(hit)));
         }
         self.begin_flights(1)?;
         let id = self.new_job(JobState::Running, None);
         let core = Arc::clone(self);
         std::thread::spawn(move || {
-            core.run_single(id, spec, hash, key);
+            core.forward_jobs(vec![(id, hash, key)], |w| {
+                core.forward_submit(w, &spec).map(|report| vec![report])
+            });
             core.end_flight();
         });
-        Ok((id, false))
+        Ok((id, None))
     }
 
     /// Per-point cache hits are born done;
@@ -504,31 +484,20 @@ impl Backend for CoordinatorCore {
         self: &Arc<Self>,
         spec: BatchSpec,
         _deadline: Option<Instant>,
-    ) -> Result<(Vec<(u64, bool)>, Option<usize>), String> {
-        struct PendingPoint {
-            id: u64,
-            hash: u64,
-            key: String,
-            point: BatchPoint,
-        }
+    ) -> Result<(Vec<(u64, Option<Arc<Value>>)>, Option<usize>), String> {
         let mut acks = Vec::with_capacity(spec.points.len());
-        let mut pending: Vec<PendingPoint> = Vec::new();
+        let mut pending: Vec<(BatchPoint, (u64, u64, String))> = Vec::new();
         for point in &spec.points {
             let (hash, key) = batch_point_key(&spec, point);
             match self.cache.get(hash, &key) {
                 Some(hit) => {
                     let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-                    acks.push((id, true));
+                    acks.push((id, Some(hit)));
                 }
                 None => {
                     let id = self.new_job(JobState::Running, None);
-                    acks.push((id, false));
-                    pending.push(PendingPoint {
-                        id,
-                        hash,
-                        key,
-                        point: *point,
-                    });
+                    acks.push((id, None));
+                    pending.push((*point, (id, hash, key)));
                 }
             }
         }
@@ -545,16 +514,14 @@ impl Backend for CoordinatorCore {
         let mut rest = pending;
         for i in 0..slices {
             let take = base + usize::from(i < extra);
-            let slice: Vec<PendingPoint> = rest.drain(..take).collect();
+            let (points, jobs): (Vec<_>, Vec<_>) = rest.drain(..take).unzip();
             let sub = BatchSpec {
-                points: slice.iter().map(|p| p.point).collect(),
+                points,
                 ..spec.clone()
             };
-            let ids: Vec<u64> = slice.iter().map(|p| p.id).collect();
-            let keys: Vec<(u64, String)> = slice.into_iter().map(|p| (p.hash, p.key)).collect();
             let core = Arc::clone(self);
             std::thread::spawn(move || {
-                core.run_batch_slice(ids, keys, sub);
+                core.forward_jobs(jobs, |w| core.forward_batch(w, &sub));
                 core.end_flight();
             });
         }

@@ -40,21 +40,23 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// `false` denies it.
     fn admit(&self, principal: &str, bytes: u64) -> bool;
 
-    /// Accepts a job: its id, and whether the cache answered it.
+    /// Accepts a job: its id, plus the report when the cache answered
+    /// it. `Err` when the backend is draining.
     fn submit(
         self: &Arc<Self>,
         spec: JobSpec,
         deadline: Option<Instant>,
-    ) -> Result<(u64, bool), String>;
+    ) -> Result<(u64, Option<Arc<Value>>), String>;
 
-    /// Accepts a batch: one `(id, cached)` per point, plus the lane
-    /// its uncached points were pinned to, when the backend has lanes.
+    /// Accepts a batch: one job per point, in point order, with the
+    /// report of each point the cache answered, plus the lane its
+    /// uncached points were pinned to when the backend has lanes.
     #[allow(clippy::type_complexity)]
     fn submit_batch(
         self: &Arc<Self>,
         spec: BatchSpec,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<(u64, bool)>, Option<usize>), String>;
+    ) -> Result<(Vec<(u64, Option<Arc<Value>>)>, Option<usize>), String>;
 
     /// A job's state, plus its queue position when the backend queues.
     fn status(&self, job: u64) -> Option<(JobState, Option<usize>)>;
@@ -298,6 +300,14 @@ fn serve_subscription<B: Backend>(
     }
 }
 
+/// The live session `run` names, or the error response for `op`.
+fn live_session<B: Backend>(core: &B, op: &str, run: u64) -> Result<Arc<LiveSession>, Value> {
+    let (registry, _) = core.live().map_err(|refusal| error_response(op, refusal))?;
+    registry
+        .get(run)
+        .ok_or_else(|| error_response(op, format!("unknown live run {run}")))
+}
+
 fn dispatch<B: Backend>(
     core: &Arc<B>,
     request: Request,
@@ -333,10 +343,14 @@ fn dispatch<B: Backend>(
                 Ok((job, cached)) => {
                     let mut resp = response_head("submit", true);
                     resp.set("job", Value::from(job));
-                    resp.set("cached", Value::Bool(cached));
+                    resp.set("cached", Value::Bool(cached.is_some()));
                     resp.set(
                         "state",
-                        Value::str(if cached { "done" } else { B::PENDING_STATE }),
+                        Value::str(if cached.is_some() {
+                            "done"
+                        } else {
+                            B::PENDING_STATE
+                        }),
                     );
                     resp
                 }
@@ -360,9 +374,9 @@ fn dispatch<B: Backend>(
                     let mut resp = response_head("submit_batch", true);
                     let mut jobs = Value::arr();
                     let mut cached = Value::arr();
-                    for &(id, hit) in &acks {
-                        jobs.push(Value::from(id));
-                        cached.push(Value::Bool(hit));
+                    for (id, hit) in &acks {
+                        jobs.push(Value::from(*id));
+                        cached.push(Value::Bool(hit.is_some()));
                     }
                     resp.set("jobs", jobs);
                     resp.set("cached", cached);
@@ -433,35 +447,29 @@ fn dispatch<B: Backend>(
         // `subscribe` is intercepted in `handle_connection` (it turns
         // the connection into a stream); reaching here is impossible.
         Request::Subscribe { .. } => error_response("subscribe", "internal: unrouted subscribe"),
-        Request::Control { run, target, set } => match core.live() {
-            Err(refusal) => error_response("control", refusal),
-            Ok((registry, _)) => match registry.get(run) {
-                None => error_response("control", format!("unknown live run {run}")),
-                Some(session) => match session.control(ControlWrite { target, set }) {
-                    Err(message) => error_response("control", message),
-                    Ok(position) => {
-                        let mut resp = response_head("control", true);
-                        resp.set("run", Value::from(run));
-                        resp.set("queued", Value::from(position));
-                        resp
-                    }
-                },
-            },
-        },
-        Request::Journal { run } => match core.live() {
-            Err(refusal) => error_response("journal", refusal),
-            Ok((registry, _)) => match registry.get(run) {
-                None => error_response("journal", format!("unknown live run {run}")),
-                Some(session) => {
-                    let mut resp = response_head("journal", true);
-                    if let Some(pairs) = session.journal_doc().as_obj() {
-                        for (key, value) in pairs {
-                            resp.set(key.clone(), value.clone());
-                        }
-                    }
+        Request::Control { run, target, set } => match live_session(&**core, "control", run) {
+            Err(resp) => resp,
+            Ok(session) => match session.control(ControlWrite { target, set }) {
+                Err(message) => error_response("control", message),
+                Ok(position) => {
+                    let mut resp = response_head("control", true);
+                    resp.set("run", Value::from(run));
+                    resp.set("queued", Value::from(position));
                     resp
                 }
             },
+        },
+        Request::Journal { run } => match live_session(&**core, "journal", run) {
+            Err(resp) => resp,
+            Ok(session) => {
+                let mut resp = response_head("journal", true);
+                if let Some(pairs) = session.journal_doc().as_obj() {
+                    for (key, value) in pairs {
+                        resp.set(key.clone(), value.clone());
+                    }
+                }
+                resp
+            }
         },
         Request::Shutdown => {
             let mut resp = response_head("shutdown", true);

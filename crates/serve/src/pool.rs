@@ -23,8 +23,9 @@
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::cache::{batch_point_key, job_key, ResultCache};
+use crate::front::Backend;
 use crate::live::LiveRegistry;
-use crate::protocol::{BatchSpec, JobSpec};
+use crate::protocol::{error_response, response_head, to_hex, BatchSpec, JobSpec};
 use crate::{BatchExecutor, Executor, LiveExecutor, SnapshotExecutor};
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
@@ -61,48 +62,23 @@ impl JobState {
     }
 }
 
-/// One uncached point of a queued batch: its job id, cache address and
-/// overrides.
-struct BatchPointJob {
+/// One job a queue entry resolves: its id and cache address.
+struct QueuedId {
     id: u64,
     hash: u64,
     key: String,
-    point: crate::protocol::BatchPoint,
 }
 
+/// What a queue entry executes: a single job, or a batch's uncached
+/// points (one [`QueuedId`] each, in point order).
 enum Work {
-    Single {
-        id: u64,
-        spec: JobSpec,
-        hash: u64,
-        key: String,
-    },
-    Batch {
-        spec: BatchSpec,
-        points: Vec<BatchPointJob>,
-    },
-}
-
-impl Work {
-    /// Job ids this queue entry resolves (one for a single, one per
-    /// uncached point for a batch).
-    fn ids(&self) -> Vec<u64> {
-        match self {
-            Work::Single { id, .. } => vec![*id],
-            Work::Batch { points, .. } => points.iter().map(|p| p.id).collect(),
-        }
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        match self {
-            Work::Single { id: own, .. } => *own == id,
-            Work::Batch { points, .. } => points.iter().any(|p| p.id == id),
-        }
-    }
+    Single(JobSpec),
+    Batch(BatchSpec),
 }
 
 struct QueuedJob {
     work: Work,
+    ids: Vec<QueuedId>,
     lane: Option<usize>,
     deadline: Option<Instant>,
 }
@@ -126,6 +102,23 @@ struct PoolState {
     expired: u64,
     batches: u64,
     lane_executed: Vec<u64>,
+}
+
+impl PoolState {
+    /// Files a new job: born `Done` with a cache hit's report, else
+    /// `Queued`.
+    fn new_job(&mut self, cached: Option<&Arc<Value>>) -> u64 {
+        self.next_job += 1;
+        self.submitted += 1;
+        let state = if cached.is_some() {
+            JobState::Done
+        } else {
+            JobState::Queued
+        };
+        let report = cached.cloned();
+        self.jobs.insert(self.next_job, JobEntry { state, report });
+        self.next_job
+    }
 }
 
 /// Counters returned by [`ServeCore::drain`], embedded in the
@@ -242,154 +235,6 @@ impl ServeCore {
         self.oversized.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accepts a job: returns its id plus the cached report when the
-    /// spec is a cache hit (such jobs are born `Done` and never queue).
-    /// `Err` when the server is draining.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        deadline: Option<Instant>,
-    ) -> Result<(u64, Option<Arc<Value>>), String> {
-        let (hash, key) = job_key(&spec);
-        let cached = self.cache.get(hash, &key);
-        let mut st = self.state.lock().expect("pool poisoned");
-        if st.draining {
-            return Err("server is shutting down".into());
-        }
-        let id = st.next_job + 1;
-        st.next_job = id;
-        st.submitted += 1;
-        match cached {
-            Some(report) => {
-                st.jobs.insert(
-                    id,
-                    JobEntry {
-                        state: JobState::Done,
-                        report: Some(Arc::clone(&report)),
-                    },
-                );
-                Ok((id, Some(report)))
-            }
-            None => {
-                st.jobs.insert(
-                    id,
-                    JobEntry {
-                        state: JobState::Queued,
-                        report: None,
-                    },
-                );
-                st.queue.push_back(QueuedJob {
-                    work: Work::Single {
-                        id,
-                        spec,
-                        hash,
-                        key,
-                    },
-                    lane: None,
-                    deadline,
-                });
-                self.wakeup.notify_one();
-                Ok((id, None))
-            }
-        }
-    }
-
-    /// Accepts a warm-start batch: one job id per point, in point order,
-    /// with the cached points born `Done`. The uncached remainder is
-    /// enqueued as a single entry pinned to the least-loaded lane
-    /// (returned as the second element; `None` when the whole batch was
-    /// answered from the cache). `Err` when the server is draining.
-    #[allow(clippy::type_complexity)]
-    pub fn submit_batch(
-        &self,
-        spec: BatchSpec,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<(u64, Option<Arc<Value>>)>, Option<usize>), String> {
-        let addressed: Vec<(u64, String, Option<Arc<Value>>)> = spec
-            .points
-            .iter()
-            .map(|p| {
-                let (hash, key) = batch_point_key(&spec, p);
-                let cached = self.cache.get(hash, &key);
-                (hash, key, cached)
-            })
-            .collect();
-        let mut st = self.state.lock().expect("pool poisoned");
-        if st.draining {
-            return Err("server is shutting down".into());
-        }
-        st.batches += 1;
-        let mut acks = Vec::with_capacity(spec.points.len());
-        let mut pending: Vec<BatchPointJob> = Vec::new();
-        for (i, (hash, key, cached)) in addressed.into_iter().enumerate() {
-            let id = st.next_job + 1;
-            st.next_job = id;
-            st.submitted += 1;
-            match cached {
-                Some(report) => {
-                    st.jobs.insert(
-                        id,
-                        JobEntry {
-                            state: JobState::Done,
-                            report: Some(Arc::clone(&report)),
-                        },
-                    );
-                    acks.push((id, Some(report)));
-                }
-                None => {
-                    st.jobs.insert(
-                        id,
-                        JobEntry {
-                            state: JobState::Queued,
-                            report: None,
-                        },
-                    );
-                    pending.push(BatchPointJob {
-                        id,
-                        hash,
-                        key,
-                        point: spec.points[i],
-                    });
-                    acks.push((id, None));
-                }
-            }
-        }
-        if pending.is_empty() {
-            return Ok((acks, None));
-        }
-        // Pin to the lane with the fewest queued pinned entries —
-        // deterministic given the queue state, lowest index on ties.
-        let mut depth = vec![0usize; self.workers.max(1)];
-        for j in &st.queue {
-            if let Some(lane) = j.lane {
-                depth[lane] += 1;
-            }
-        }
-        let lane = (0..depth.len()).min_by_key(|&l| depth[l]).unwrap_or(0);
-        st.queue.push_back(QueuedJob {
-            work: Work::Batch {
-                spec,
-                points: pending,
-            },
-            lane: Some(lane),
-            deadline,
-        });
-        // notify_all: only the pinned lane's worker can take this entry.
-        self.wakeup.notify_all();
-        Ok((acks, Some(lane)))
-    }
-
-    /// A job's state plus, while queued, its 0-based queue position.
-    pub fn status(&self, id: u64) -> Option<(JobState, Option<usize>)> {
-        let st = self.state.lock().expect("pool poisoned");
-        let entry = st.jobs.get(&id)?;
-        let position = match entry.state {
-            JobState::Queued => st.queue.iter().position(|j| j.work.contains(id)),
-            _ => None,
-        };
-        Some((entry.state.clone(), position))
-    }
-
     /// A finished job's report (`None` until it is done).
     pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
         let st = self.state.lock().expect("pool poisoned");
@@ -433,8 +278,8 @@ impl ServeCore {
             };
             if job.deadline.is_some_and(|d| Instant::now() > d) {
                 let mut st = self.state.lock().expect("pool poisoned");
-                for id in job.work.ids() {
-                    if let Some(entry) = st.jobs.get_mut(&id) {
+                for q in &job.ids {
+                    if let Some(entry) = st.jobs.get_mut(&q.id) {
                         entry.state = JobState::Expired;
                     }
                     st.expired += 1;
@@ -445,89 +290,53 @@ impl ServeCore {
             }
             {
                 let mut st = self.state.lock().expect("pool poisoned");
-                for id in job.work.ids() {
-                    if let Some(entry) = st.jobs.get_mut(&id) {
+                for q in &job.ids {
+                    if let Some(entry) = st.jobs.get_mut(&q.id) {
                         entry.state = JobState::Running;
                     }
                 }
             }
             let t0 = Instant::now();
-            match job.work {
-                Work::Single {
-                    id,
-                    spec,
-                    hash,
-                    key,
-                } => {
-                    let outcome = isolated(|| executor(&spec));
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let mut st = self.state.lock().expect("pool poisoned");
-                    st.lane_executed[lane] += 1;
-                    match outcome {
-                        Ok(report) => {
-                            let report = Arc::new(report.to_json());
-                            self.cache.insert(hash, key, Arc::clone(&report));
-                            if let Some(entry) = st.jobs.get_mut(&id) {
-                                entry.state = JobState::Done;
-                                entry.report = Some(report);
-                            }
-                            st.executed += 1;
+            let outcome = isolated(|| match &job.work {
+                Work::Single(spec) => executor(spec).map(|report| vec![report]),
+                Work::Batch(spec) => batch_executor(spec),
+            })
+            .and_then(|reports| {
+                if reports.len() == job.ids.len() {
+                    Ok(reports)
+                } else {
+                    Err(format!(
+                        "batch executor returned {} reports for {} points",
+                        reports.len(),
+                        job.ids.len()
+                    ))
+                }
+            });
+            self.busy_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let mut st = self.state.lock().expect("pool poisoned");
+            st.lane_executed[lane] += 1;
+            match outcome {
+                Ok(reports) => {
+                    for (q, report) in job.ids.into_iter().zip(reports) {
+                        let report = Arc::new(report.to_json());
+                        self.cache.insert(q.hash, q.key, Arc::clone(&report));
+                        if let Some(entry) = st.jobs.get_mut(&q.id) {
+                            entry.state = JobState::Done;
+                            entry.report = Some(report);
                         }
-                        Err(e) => {
-                            if let Some(entry) = st.jobs.get_mut(&id) {
-                                entry.state = JobState::Failed(e);
-                            }
-                            st.failed += 1;
-                        }
+                        st.executed += 1;
                     }
                 }
-                Work::Batch { spec, points } => {
-                    // Hand the executor only the uncached points, in
-                    // their original order.
-                    let run = BatchSpec {
-                        points: points.iter().map(|p| p.point).collect(),
-                        ..spec
-                    };
-                    let outcome = isolated(|| batch_executor(&run)).and_then(|reports| {
-                        if reports.len() == points.len() {
-                            Ok(reports)
-                        } else {
-                            Err(format!(
-                                "batch executor returned {} reports for {} points",
-                                reports.len(),
-                                points.len()
-                            ))
+                Err(e) => {
+                    for q in &job.ids {
+                        if let Some(entry) = st.jobs.get_mut(&q.id) {
+                            entry.state = JobState::Failed(e.clone());
                         }
-                    });
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let mut st = self.state.lock().expect("pool poisoned");
-                    st.lane_executed[lane] += 1;
-                    match outcome {
-                        Ok(reports) => {
-                            for (p, report) in points.into_iter().zip(reports) {
-                                let report = Arc::new(report.to_json());
-                                self.cache.insert(p.hash, p.key, Arc::clone(&report));
-                                if let Some(entry) = st.jobs.get_mut(&p.id) {
-                                    entry.state = JobState::Done;
-                                    entry.report = Some(report);
-                                }
-                                st.executed += 1;
-                            }
-                        }
-                        Err(e) => {
-                            for p in points {
-                                if let Some(entry) = st.jobs.get_mut(&p.id) {
-                                    entry.state = JobState::Failed(e.clone());
-                                }
-                                st.failed += 1;
-                            }
-                        }
+                        st.failed += 1;
                     }
                 }
             }
-            let mut st = self.state.lock().expect("pool poisoned");
             st.busy_workers -= 1;
             self.wakeup.notify_all();
         }
@@ -565,11 +374,134 @@ impl ServeCore {
     pub fn queue_depth(&self) -> usize {
         self.state.lock().expect("pool poisoned").queue.len()
     }
+}
+
+impl Backend for ServeCore {
+    const PENDING_STATE: &'static str = "queued";
+
+    fn count_frame(&self, oversized: bool) {
+        ServeCore::count_frame(self);
+        if oversized {
+            self.count_oversized();
+        }
+    }
+
+    fn count_malformed(&self) {
+        ServeCore::count_malformed(self);
+    }
+
+    fn admit(&self, principal: &str, bytes: u64) -> bool {
+        self.admission.admit(principal, bytes)
+    }
+
+    /// Accepts a job: returns its id plus the cached report when the
+    /// spec is a cache hit (such jobs are born `Done` and never queue).
+    /// `Err` when the server is draining.
+    fn submit(
+        self: &Arc<Self>,
+        spec: JobSpec,
+        deadline: Option<Instant>,
+    ) -> Result<(u64, Option<Arc<Value>>), String> {
+        let (hash, key) = job_key(&spec);
+        let cached = self.cache.get(hash, &key);
+        let mut st = self.state.lock().expect("pool poisoned");
+        if st.draining {
+            return Err("server is shutting down".into());
+        }
+        let id = st.new_job(cached.as_ref());
+        if cached.is_none() {
+            st.queue.push_back(QueuedJob {
+                work: Work::Single(spec),
+                ids: vec![QueuedId { id, hash, key }],
+                lane: None,
+                deadline,
+            });
+            self.wakeup.notify_one();
+        }
+        Ok((id, cached))
+    }
+
+    /// Accepts a warm-start batch: one job id per point, in point order,
+    /// with the cached points born `Done`. The uncached remainder is
+    /// enqueued as a single entry pinned to the least-loaded lane
+    /// (returned as the second element; `None` when the whole batch was
+    /// answered from the cache). `Err` when the server is draining.
+    fn submit_batch(
+        self: &Arc<Self>,
+        spec: BatchSpec,
+        deadline: Option<Instant>,
+    ) -> Result<(Vec<(u64, Option<Arc<Value>>)>, Option<usize>), String> {
+        let addressed: Vec<(u64, String, Option<Arc<Value>>)> = spec
+            .points
+            .iter()
+            .map(|p| {
+                let (hash, key) = batch_point_key(&spec, p);
+                let cached = self.cache.get(hash, &key);
+                (hash, key, cached)
+            })
+            .collect();
+        let mut st = self.state.lock().expect("pool poisoned");
+        if st.draining {
+            return Err("server is shutting down".into());
+        }
+        st.batches += 1;
+        let mut acks = Vec::with_capacity(spec.points.len());
+        let mut ids = Vec::new();
+        let mut points = Vec::new();
+        for (point, (hash, key, cached)) in spec.points.iter().zip(addressed) {
+            let id = st.new_job(cached.as_ref());
+            if cached.is_none() {
+                ids.push(QueuedId { id, hash, key });
+                points.push(*point);
+            }
+            acks.push((id, cached));
+        }
+        if ids.is_empty() {
+            return Ok((acks, None));
+        }
+        // Pin to the lane with the fewest queued pinned entries —
+        // deterministic given the queue state, lowest index on ties.
+        let mut depth = vec![0usize; self.workers.max(1)];
+        for j in &st.queue {
+            if let Some(lane) = j.lane {
+                depth[lane] += 1;
+            }
+        }
+        let lane = (0..depth.len()).min_by_key(|&l| depth[l]).unwrap_or(0);
+        // The executor sees only the uncached points, in their order.
+        st.queue.push_back(QueuedJob {
+            work: Work::Batch(BatchSpec { points, ..spec }),
+            ids,
+            lane: Some(lane),
+            deadline,
+        });
+        // notify_all: only the pinned lane's worker can take this entry.
+        self.wakeup.notify_all();
+        Ok((acks, Some(lane)))
+    }
+
+    /// A job's state plus, while queued, its 0-based queue position.
+    fn status(&self, id: u64) -> Option<(JobState, Option<usize>)> {
+        let st = self.state.lock().expect("pool poisoned");
+        let entry = st.jobs.get(&id)?;
+        let position = match entry.state {
+            JobState::Queued => st
+                .queue
+                .iter()
+                .position(|j| j.ids.iter().any(|q| q.id == id)),
+            _ => None,
+        };
+        Some((entry.state.clone(), position))
+    }
+
+    fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
+        ServeCore::result(self, id)
+    }
 
     /// Snapshot of the service's metrics under stable `serve.*` names,
     /// exportable through the standard
     /// [`MetricsRegistry`] JSON/CSV exporters.
-    pub fn metrics(&self) -> MetricsRegistry {
+    fn metrics(&self) -> MetricsRegistry {
         let (queue_depth, submitted, executed, failed, expired, busy, batches, lanes) = {
             let st = self.state.lock().expect("pool poisoned");
             let mut lanes: Vec<(u64, u64)> = st
@@ -642,6 +574,43 @@ impl ServeCore {
             reg.counter(format!("serve.client.{client}.denied"), denied);
         }
         reg
+    }
+
+    fn register_worker(&self, _addr: &str) -> Result<usize, String> {
+        Err("this server is not a coordinator".into())
+    }
+
+    fn snapshot(&self, scenario: String, warmup: u64) -> Value {
+        // Warming runs inline on the connection thread: the op is
+        // synchronous by design (its caller is usually another
+        // server's warm-boundary store, not an interactive client).
+        match (self.snapshot_executor)(&scenario, warmup) {
+            Err(message) => error_response("snapshot", message),
+            Ok(None) => error_response(
+                "snapshot",
+                "scenario has no quiesced boundary within the slack window",
+            ),
+            Ok(Some(encoded)) => {
+                let mut resp = response_head("snapshot", true);
+                resp.set("bytes", Value::from(encoded.len() as u64));
+                resp.set("blob_hex", Value::str(to_hex(&encoded)));
+                resp
+            }
+        }
+    }
+
+    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
+        Ok((&self.live, &self.live_executor))
+    }
+
+    fn drain(&self) -> Vec<(&'static str, u64)> {
+        let summary = ServeCore::drain(self);
+        vec![
+            ("submitted", summary.submitted),
+            ("executed", summary.executed),
+            ("failed", summary.failed),
+            ("expired", summary.expired),
+        ]
     }
 }
 

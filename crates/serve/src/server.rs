@@ -9,23 +9,17 @@
 
 use crate::admission::AdmissionConfig;
 use crate::cache::ResultCache;
-use crate::front::{spawn_accept, Backend};
-use crate::live::LiveRegistry;
-use crate::pool::{worker_count, JobState, ServeCore};
-use crate::protocol::{
-    error_response, response_head, to_hex, BatchSpec, JobSpec, DEFAULT_MAX_FRAME_BYTES,
-};
+use crate::front::spawn_accept;
+use crate::pool::{worker_count, ServeCore};
+use crate::protocol::DEFAULT_MAX_FRAME_BYTES;
 use crate::{
     unsupported_batch_executor, unsupported_live_executor, unsupported_snapshot_executor,
     BatchExecutor, Executor, LiveExecutor, SnapshotExecutor,
 };
-use fgqos_sim::json::Value;
-use fgqos_sim::metrics::MetricsRegistry;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Server configuration; every field has a usable default.
 #[derive(Debug, Clone)]
@@ -165,97 +159,12 @@ pub fn start_live(
     })
 }
 
-impl Backend for ServeCore {
-    const PENDING_STATE: &'static str = "queued";
-
-    fn count_frame(&self, oversized: bool) {
-        ServeCore::count_frame(self);
-        if oversized {
-            self.count_oversized();
-        }
-    }
-
-    fn count_malformed(&self) {
-        ServeCore::count_malformed(self);
-    }
-
-    fn admit(&self, principal: &str, bytes: u64) -> bool {
-        self.admission.admit(principal, bytes)
-    }
-
-    fn submit(
-        self: &Arc<Self>,
-        spec: JobSpec,
-        deadline: Option<Instant>,
-    ) -> Result<(u64, bool), String> {
-        ServeCore::submit(self, spec, deadline).map(|(job, cached)| (job, cached.is_some()))
-    }
-
-    fn submit_batch(
-        self: &Arc<Self>,
-        spec: BatchSpec,
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<(u64, bool)>, Option<usize>), String> {
-        let (acks, lane) = ServeCore::submit_batch(self, spec, deadline)?;
-        let acks = acks.into_iter().map(|(id, hit)| (id, hit.is_some()));
-        Ok((acks.collect(), lane))
-    }
-
-    fn status(&self, job: u64) -> Option<(JobState, Option<usize>)> {
-        ServeCore::status(self, job)
-    }
-
-    fn result(&self, job: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        ServeCore::result(self, job)
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        ServeCore::metrics(self)
-    }
-
-    fn register_worker(&self, _addr: &str) -> Result<usize, String> {
-        Err("this server is not a coordinator".into())
-    }
-
-    fn snapshot(&self, scenario: String, warmup: u64) -> Value {
-        // Warming runs inline on the connection thread: the op is
-        // synchronous by design (its caller is usually another
-        // server's warm-boundary store, not an interactive client).
-        match (self.snapshot_executor)(&scenario, warmup) {
-            Err(message) => error_response("snapshot", message),
-            Ok(None) => error_response(
-                "snapshot",
-                "scenario has no quiesced boundary within the slack window",
-            ),
-            Ok(Some(encoded)) => {
-                let mut resp = response_head("snapshot", true);
-                resp.set("bytes", Value::from(encoded.len() as u64));
-                resp.set("blob_hex", Value::str(to_hex(&encoded)));
-                resp
-            }
-        }
-    }
-
-    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
-        Ok((&self.live, &self.live_executor))
-    }
-
-    fn drain(&self) -> Vec<(&'static str, u64)> {
-        let summary = ServeCore::drain(self);
-        vec![
-            ("submitted", summary.submitted),
-            ("executed", summary.executed),
-            ("failed", summary.failed),
-            ("expired", summary.expired),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::JobSpec;
     use fgqos_bench::report::Report;
+    use fgqos_sim::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use std::time::Duration;

@@ -8,10 +8,10 @@
 //!
 //! Every execution — a scenario report, a batch point, a live run or
 //! its replay, the CLI's text run — goes through one private run plan:
-//! a machine [`Source`] (cold build, warm prefix or fork of a captured
+//! a machine source (cold build, warm prefix or fork of a captured
 //! boundary), optional best-effort knobs, and a horizon (`cycles`, or
-//! `until_done` capped by it). A report's [`Flavour`] is data, not a
-//! code path.
+//! `until_done` capped by it). A report's flavour is data, not a code
+//! path.
 
 use crate::scenario::{
     ExpectKind, ExpectSpec, LatencyMetric, ParseScenarioError, Role, ScenarioSpec,
@@ -72,33 +72,29 @@ fn no_master(name: &str) -> RunError {
 
 /// Where a planned run's machine comes from.
 enum Source<'a> {
-    /// A fresh build of the recipe, optionally pinned to a simulation
-    /// core (`naive`) and leap setting instead of the environment's.
-    Cold {
-        naive: Option<bool>,
-        leap: Option<bool>,
-    },
-    /// A fresh build advanced through a batch's warm prefix (see
-    /// [`warm`]), whether or not a quiesced boundary opened.
+    /// A fresh build, optionally pinned to a simulation core (`naive`)
+    /// and leap setting instead of the environment's.
+    Cold(Option<bool>, Option<bool>),
+    /// A fresh build advanced through a batch's warm prefix ([`warm`]),
+    /// whether or not a quiesced boundary opened.
     Warm(u64),
     /// A fork of a captured warm boundary and the fabric bound to it.
     Fork(&'a SocSnapshot, &'a QosFabric),
 }
 
+const COLD: Source<'static> = Source::Cold(None, None);
+
 /// A window observer: called at every window boundary of a segmented
 /// run with the machine and its fabric; `false` stops the run there.
 type Observer<'o> = &'o mut dyn FnMut(&mut Soc, &QosFabric, WindowBoundary) -> bool;
 
-/// One scenario execution: where the machine comes from, which
-/// best-effort knobs it gets, and how far it runs.
+/// One scenario execution: where the machine comes from, the
+/// best-effort `(period, budget)` knobs programmed before the run, and
+/// the horizon — `cycles`, or `until_done` capped by it.
 struct RunPlan<'a> {
     source: Source<'a>,
-    /// `(period, budget)` programmed into every best-effort regulator
-    /// before the run.
     knobs: Option<(u64, u64)>,
-    /// Cycle budget (the cap when `until_done` is set).
     cycles: u64,
-    /// Stop once this master's workload completes.
     until_done: Option<&'a str>,
 }
 
@@ -112,8 +108,8 @@ pub struct ScenarioRun {
     /// When the run had an `until_done` master that finished within the
     /// cap: the cycle it finished at.
     pub finished_at: Option<Cycle>,
-    /// Cycle the horizon started at: 0 for a cold build, the boundary
-    /// for a warm prefix or a fork.
+    /// Cycle the horizon started at: the boundary for a warm prefix or
+    /// a fork, 0 for a cold build.
     start: u64,
 }
 
@@ -125,49 +121,46 @@ impl ScenarioRun {
     }
 }
 
-/// How a run renders as a report: everything that differs between the
-/// scenario, point and live documents.
-struct Flavour<'a> {
+/// How a run renders as a report, besides the text its banner hashes
+/// and the context lines it adds after `cycles`.
+struct Flavour {
     /// Report kind; the banner id is its upper-case form.
     kind: &'static str,
-    /// Text whose content hash the banner carries.
-    content: &'a str,
-    /// Context lines between `cycles` and the horizon's outcome.
-    context: Vec<(&'static str, u64)>,
     /// Appended to the "did not finish within N cycles" note.
     cap_suffix: &'static str,
     /// Whether the leap-telemetry block is emitted (see [`leap_block`]).
     leap: bool,
 }
 
+const SCENARIO: Flavour = Flavour {
+    kind: "scenario",
+    cap_suffix: "",
+    leap: true,
+};
+
+const POINT: Flavour = Flavour {
+    kind: "scenario-point",
+    cap_suffix: " of the boundary",
+    leap: false,
+};
+
+/// Live reports hash the *replay* scenario and omit the leap block:
+/// leap counters depend on run segmentation, and the whole point of
+/// this document is byte-comparison between a windowed live run and
+/// its monolithic replay.
+const LIVE: Flavour = Flavour {
+    kind: "scenario-live",
+    cap_suffix: "",
+    leap: false,
+};
+
 impl<'a> RunPlan<'a> {
-    /// A cold build of the recipe run for `cycles`.
-    fn cold(cycles: u64) -> Self {
+    fn new(source: Source<'a>, cycles: u64, until_done: Option<&'a str>) -> Self {
         RunPlan {
-            source: Source::Cold {
-                naive: None,
-                leap: None,
-            },
+            source,
             knobs: None,
             cycles,
-            until_done: None,
-        }
-    }
-
-    fn scenario(opts: &'a RunOptions) -> Self {
-        RunPlan {
-            until_done: opts.until_done.as_deref(),
-            ..RunPlan::cold(opts.cycles)
-        }
-    }
-
-    fn live(opts: &LiveOptions) -> Self {
-        RunPlan {
-            source: Source::Cold {
-                naive: opts.naive,
-                leap: opts.leap,
-            },
-            ..RunPlan::cold(opts.cycles)
+            until_done,
         }
     }
 
@@ -184,7 +177,7 @@ impl<'a> RunPlan<'a> {
         observer: Option<(u64, Observer<'_>)>,
     ) -> Result<ScenarioRun, RunError> {
         let (mut soc, fabric) = match self.source {
-            Source::Cold { naive, leap } => {
+            Source::Cold(naive, leap) => {
                 let (mut soc, fabric) = parsed.build();
                 if let Some(naive) = naive {
                     soc.set_naive(naive);
@@ -233,15 +226,23 @@ impl<'a> RunPlan<'a> {
         })
     }
 
-    /// Renders a finished run of this plan as a report document.
-    fn report(&self, parsed: &ScenarioSpec, run: &ScenarioRun, flavour: &Flavour) -> Report {
+    /// Renders a finished run of this plan: the banner hashes
+    /// `content`, and `context` follows the `cycles` line.
+    fn report(
+        &self,
+        parsed: &ScenarioSpec,
+        run: &ScenarioRun,
+        flavour: &Flavour,
+        content: &str,
+        context: &[(&str, u64)],
+    ) -> Report {
         let mut report = Report::new(flavour.kind);
         report.banner(
             &flavour.kind.to_ascii_uppercase(),
-            &format!("content {:016x}", fnv64(flavour.content.as_bytes())),
+            &format!("content {:016x}", fnv64(content.as_bytes())),
         );
         report.context("cycles", self.cycles);
-        for (key, value) in &flavour.context {
+        for (key, value) in context {
             report.context(key, value);
         }
         if let Some(name) = self.until_done {
@@ -269,7 +270,7 @@ impl<'a> RunPlan<'a> {
 /// Runs a parsed scenario cold over `opts`' horizon and hands back the
 /// finished machine — the CLI's text path and `check` render from it.
 pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRun, RunError> {
-    RunPlan::scenario(opts).execute(spec, None)
+    RunPlan::new(COLD, opts.cycles, opts.until_done.as_deref()).execute(spec, None)
 }
 
 /// Runs `text` as a scenario and renders the outcome as a report.
@@ -280,19 +281,9 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &RunOptions) -> Result<ScenarioRu
 /// byte-identical responses.
 pub fn scenario_report(text: &str, opts: &RunOptions) -> Result<Report, RunError> {
     let parsed = parse(text)?;
-    let plan = RunPlan::scenario(opts);
+    let plan = RunPlan::new(COLD, opts.cycles, opts.until_done.as_deref());
     let run = plan.execute(&parsed, None)?;
-    Ok(plan.report(
-        &parsed,
-        &run,
-        &Flavour {
-            kind: "scenario",
-            content: text,
-            context: Vec::new(),
-            cap_suffix: "",
-            leap: true,
-        },
-    ))
+    Ok(plan.report(&parsed, &run, &SCENARIO, text, &[]))
 }
 
 /// Appends steady-state leap telemetry to a scenario report.
@@ -516,7 +507,7 @@ const BATCH_QUIESCE_SLACK: u64 = 100_000;
 /// [`BATCH_QUIESCE_SLACK`]. The flag says whether one opened; when it
 /// did not, the machine stands at `warmup` + slack.
 fn warm(parsed: &ScenarioSpec, warmup: u64) -> Result<(ScenarioRun, bool), RunError> {
-    let mut run = RunPlan::cold(warmup).execute(parsed, None)?;
+    let mut run = RunPlan::new(COLD, warmup, None).execute(parsed, None)?;
     let quiesced = run.soc.quiesce_point(BATCH_QUIESCE_SLACK).is_some();
     Ok((run, quiesced))
 }
@@ -669,19 +660,13 @@ fn point_report(
         until_done: spec.until_done.as_deref(),
     };
     let run = plan.execute(parsed, None)?;
-    let flavour = Flavour {
-        kind: "scenario-point",
-        content: &spec.scenario,
-        context: vec![
-            ("warmup", spec.warmup),
-            ("boundary", run.start),
-            ("period", point.period),
-            ("budget", point.budget),
-        ],
-        cap_suffix: " of the boundary",
-        leap: false,
-    };
-    Ok(plan.report(parsed, &run, &flavour))
+    let context = [
+        ("warmup", spec.warmup),
+        ("boundary", run.start),
+        ("period", point.period),
+        ("budget", point.budget),
+    ];
+    Ok(plan.report(parsed, &run, &POINT, &spec.scenario, &context))
 }
 
 /// The simulator-backed [`Executor`] `fgqos serve` injects into
@@ -914,21 +899,6 @@ pub fn replay_scenario_text(text: &str, journal: &[JournalEntry]) -> String {
     out
 }
 
-/// The live-report flavour: like [`scenario_report`]'s document but
-/// bannered with the *replay* scenario's content hash and without the
-/// leap-telemetry block (leap counters depend on run segmentation, and
-/// the whole point of this document is byte-comparison between a
-/// windowed live run and its monolithic replay).
-fn live_flavour(replay_text: &str) -> Flavour<'_> {
-    Flavour {
-        kind: "scenario-live",
-        content: replay_text,
-        context: Vec::new(),
-        cap_suffix: "",
-        leap: false,
-    }
-}
-
 fn parse_live(text: &str, opts: &LiveOptions) -> Result<ScenarioSpec, RunError> {
     if opts.window == 0 {
         return Err(RunError::Run("window must be at least one cycle".into()));
@@ -993,7 +963,7 @@ pub fn live_run(
     let mut frames: Vec<Value> = Vec::new();
     let mut aborted = false;
     let mut prev = vec![MasterCum::default(); spec.masters.len()];
-    let plan = RunPlan::live(opts);
+    let plan = RunPlan::new(Source::Cold(opts.naive, opts.leap), opts.cycles, None);
     let mut observe = |soc: &mut Soc, fabric: &QosFabric, b: WindowBoundary| {
         let mut applied: Vec<JournalEntry> = Vec::new();
         if !b.last {
@@ -1026,7 +996,7 @@ pub fn live_run(
     let run = plan.execute(&spec, Some((opts.window, &mut observe)))?;
     let replay_scenario = replay_scenario_text(text, &journal);
     let fingerprint = run.soc.fingerprint();
-    let report = plan.report(&spec, &run, &live_flavour(&replay_scenario));
+    let report = plan.report(&spec, &run, &LIVE, &replay_scenario, &[]);
     Ok(LiveOutcome {
         frames,
         journal,
@@ -1046,9 +1016,9 @@ pub fn live_replay_report(
     opts: &LiveOptions,
 ) -> Result<(Report, u64), RunError> {
     let spec = parse_live(replay_text, opts)?;
-    let plan = RunPlan::live(opts);
+    let plan = RunPlan::new(Source::Cold(opts.naive, opts.leap), opts.cycles, None);
     let run = plan.execute(&spec, None)?;
-    let report = plan.report(&spec, &run, &live_flavour(replay_text));
+    let report = plan.report(&spec, &run, &LIVE, replay_text, &[]);
     Ok((report, run.soc.fingerprint()))
 }
 
@@ -1063,8 +1033,7 @@ pub fn serve_live_executor() -> LiveExecutor {
         let opts = LiveOptions {
             cycles: spec.cycles,
             window: spec.window,
-            naive: None,
-            leap: None,
+            ..LiveOptions::default()
         };
         let parsed = ScenarioSpec::parse(&spec.scenario).map_err(|e| e.to_string())?;
         session.begin(live_targets(&parsed));
