@@ -24,10 +24,12 @@
 //!   ([`CoordinatorConfig::cache_dir`]), so repeat submissions are
 //!   answered byte-identically even across coordinator restarts.
 //!
-//! `status` / `result` / `metrics` / `ping` are answered locally;
-//! `snapshot` is forwarded to a live worker; `shutdown` drains the
-//! in-flight forwards, shuts the workers down, then stops the
-//! coordinator itself.
+//! The coordinator sits behind the same front end as a single server
+//! (`front.rs`); everything it answers differently is its `Backend`
+//! impl. `status` / `result` / `metrics` / `ping` are answered locally;
+//! `snapshot` is forwarded to a live worker; live runs are refused;
+//! `shutdown` drains the in-flight forwards, shuts the workers down,
+//! then stops the coordinator itself.
 
 use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::client::{Client, ClientError, SubmitOptions};
@@ -383,7 +385,7 @@ impl CoordinatorHandle {
         self.addr
     }
 
-    /// The shared core, for in-process registration and inspection.
+    /// The shared core, for in-process inspection.
     pub fn core(&self) -> &Arc<CoordinatorCore> {
         &self.core
     }
@@ -477,9 +479,9 @@ impl Backend for CoordinatorCore {
         Ok((id, None))
     }
 
-    /// Per-point cache hits are born done;
-    /// the uncached remainder is sharded into contiguous slices across
-    /// the live workers and merged back in point order.
+    /// Per-point cache hits are born done; the uncached remainder is
+    /// sharded into contiguous slices across the live workers and merged
+    /// back in point order.
     fn submit_batch(
         self: &Arc<Self>,
         spec: BatchSpec,

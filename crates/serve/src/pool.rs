@@ -220,21 +220,6 @@ impl ServeCore {
         self.workers
     }
 
-    /// Counts one received frame (any op).
-    pub fn count_frame(&self) {
-        self.frames.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one unparsable frame.
-    pub fn count_malformed(&self) {
-        self.malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one over-limit frame.
-    pub fn count_oversized(&self) {
-        self.oversized.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A finished job's report (`None` until it is done).
     pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
         let st = self.state.lock().expect("pool poisoned");
@@ -380,14 +365,14 @@ impl Backend for ServeCore {
     const PENDING_STATE: &'static str = "queued";
 
     fn count_frame(&self, oversized: bool) {
-        ServeCore::count_frame(self);
+        self.frames.fetch_add(1, Ordering::Relaxed);
         if oversized {
-            self.count_oversized();
+            self.oversized.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn count_malformed(&self) {
-        ServeCore::count_malformed(self);
+        self.malformed.fetch_add(1, Ordering::Relaxed);
     }
 
     fn admit(&self, principal: &str, bytes: u64) -> bool {
@@ -827,7 +812,7 @@ mod tests {
     fn metrics_snapshot_has_the_documented_names() {
         let core = Arc::new(ServeCore::new(3, AdmissionConfig::default()));
         core.admission.admit("alice", 128);
-        core.count_frame();
+        core.count_frame(false);
         core.count_malformed();
         let reg = core.metrics();
         for name in [

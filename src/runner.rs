@@ -565,8 +565,8 @@ pub fn batch_reports_with_store(
     let restored = store
         .and_then(|store| store.get_named(&key).ok().flatten())
         .and_then(|encoded| SnapshotBlob::decode(&encoded).ok())
-        .and_then(|blob| restore_snapshot(&blob).ok());
-    if let Some((_, snap, fabric)) = restored {
+        .and_then(|blob| load_boundary(&parsed, &blob).ok());
+    if let Some((snap, fabric)) = restored {
         return point_forks(&parsed, &snap, &fabric, spec);
     }
     let (boundary, quiesced) = warm(&parsed, spec.warmup)?;
@@ -638,10 +638,20 @@ pub fn restore_snapshot(
     blob: &SnapshotBlob,
 ) -> Result<(ScenarioSpec, SocSnapshot, QosFabric), RunError> {
     let parsed = parse(&blob.scenario)?;
+    let (snap, fabric) = load_boundary(&parsed, blob)?;
+    Ok((parsed, snap, fabric))
+}
+
+/// Loads `blob` into a fresh build of `parsed`, re-verifying the
+/// fingerprint.
+fn load_boundary(
+    parsed: &ScenarioSpec,
+    blob: &SnapshotBlob,
+) -> Result<(SocSnapshot, QosFabric), RunError> {
     let (soc, fabric) = parsed.build();
     let snap = SocSnapshot::load_into(soc, blob)
         .map_err(|e| RunError::Run(format!("snapshot load failed: {e}")))?;
-    Ok((parsed, snap, fabric))
+    Ok((snap, fabric))
 }
 
 /// Programs one point's knobs at the boundary `source` yields and
