@@ -8,7 +8,7 @@
 //! front end, as data; the bytes around it are built here once.
 
 use crate::live::{ControlWrite, LiveRegistry, LiveSession, NextFrame};
-use crate::pool::JobState;
+use crate::pool::{isolated, JobState};
 use crate::protocol::{
     error_response, parse_request, read_frame, response_head, BatchSpec, FrameError, JobSpec,
     LiveSpec, MetricsFormat, Request,
@@ -254,7 +254,7 @@ fn serve_subscription<B: Backend>(
                 // end-of-stream object), not the subscribe ack: by the
                 // time the executor parses anything the ack is long
                 // gone.
-                if let Err(message) = executor(&spec, Arc::clone(&run_session)) {
+                if let Err(message) = isolated(|| executor(&spec, Arc::clone(&run_session))) {
                     if !run_session.finished() {
                         run_session.finish(None, None, Some(message));
                     }

@@ -8,9 +8,9 @@
 //! locally inside the injected [`Executor`], exactly as sweep workers
 //! do.
 //!
-//! Lifecycle of a job: `queued → running → done | failed`, or
-//! `queued → expired` when its deadline passes before a worker picks it
-//! up. Shutdown is a *graceful drain*: no new submissions are accepted,
+//! Lifecycle of a job: `queued → running → done | failed` (an executor
+//! panic is a failure, and the lane keeps serving), or `queued →
+//! expired` when its deadline passes before a worker picks it up. Shutdown is a *graceful drain*: no new submissions are accepted,
 //! every already-queued job still executes, and
 //! [`ServeCore::drain`] returns only when the queue is empty and all
 //! workers are idle.
@@ -149,8 +149,9 @@ pub fn worker_count() -> usize {
 }
 
 /// Runs one executor call, turning a panic into the job's failure so a
-/// faulty executor can neither kill its lane nor leave jobs `Running`.
-fn isolated<T>(call: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+/// faulty executor can neither kill its thread nor leave its jobs (or
+/// live run) unresolved.
+pub(crate) fn isolated<T>(call: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|payload| {
         let message = payload
             .downcast_ref::<&str>()

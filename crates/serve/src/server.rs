@@ -281,6 +281,37 @@ mod tests {
     }
 
     #[test]
+    fn panicking_live_executor_ends_the_stream_as_failed() {
+        let panicking: LiveExecutor = Arc::new(|_spec, _session| panic!("live boom"));
+        let server = start_live(
+            ServeConfig {
+                threads: 1,
+                ..ServeConfig::default()
+            },
+            stub_executor(),
+            unsupported_batch_executor(),
+            unsupported_snapshot_executor(),
+            panicking,
+        )
+        .expect("bind loopback");
+        let mut wire = Wire::connect(server.addr());
+        // Before the fix the stream never ended; time out instead.
+        let timeout = Some(Duration::from_secs(10));
+        wire.writer.set_read_timeout(timeout).expect("timeout");
+        let ack = wire.roundtrip(r#"{"op":"subscribe","scenario":"s","cycles":10}"#);
+        assert_eq!(ack.get("ok"), Some(&Value::Bool(true)));
+        let mut line = String::new();
+        wire.reader.read_line(&mut line).expect("end of stream");
+        let end = Value::parse(line.trim_end()).expect("end object parses");
+        assert_eq!(end.get("state").and_then(Value::as_str), Some("failed"));
+        assert_eq!(
+            end.get("error").and_then(Value::as_str),
+            Some("executor panicked: live boom")
+        );
+        shutdown(&mut wire, server);
+    }
+
+    #[test]
     fn shutdown_drains_and_reports_counters() {
         let server = test_server();
         let mut wire = Wire::connect(server.addr());
