@@ -112,8 +112,7 @@ use fgqos::serve::live::{JOURNAL_SCHEMA, JOURNAL_VERSION, LIVE_SCHEMA, LIVE_VERS
 use fgqos::serve::protocol::{
     ControlSet, LiveSpec, DEFAULT_LIVE_WINDOW, DEFAULT_MAX_FRAME_BYTES, SERVE_VERSION,
 };
-use fgqos::serve::server::{start_live, ServeConfig};
-use fgqos::serve::BatchExecutor;
+use fgqos::serve::server::{start_live, ServeConfig, ServerHandle};
 use fgqos::sim::axi::MasterId;
 use fgqos::sim::json::Value;
 use std::path::PathBuf;
@@ -792,32 +791,36 @@ fn hunt(args: HuntArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn batch_executor_for(blob_dir: &Option<PathBuf>) -> BatchExecutor {
-    match blob_dir {
-        Some(dir) => serve_batch_executor_with_store(dir.clone()),
+/// Starts one server with the simulator-backed executors; `blob_dir`
+/// backs warm-start batches with a shared boundary store.
+fn start_server(cfg: ServeConfig, blob_dir: Option<PathBuf>) -> std::io::Result<ServerHandle> {
+    let batch_executor = match blob_dir {
+        Some(dir) => serve_batch_executor_with_store(dir),
         None => serve_batch_executor(),
-    }
+    };
+    start_live(
+        cfg,
+        serve_executor(),
+        batch_executor,
+        serve_snapshot_executor(),
+        serve_live_executor(),
+    )
 }
 
 fn serve(args: ServeArgs) -> Result<(), String> {
     if args.workers.is_some() {
         return serve_fleet(args);
     }
-    let handle = start_live(
-        ServeConfig {
-            addr: args.addr,
-            threads: args.threads,
-            max_frame_bytes: args.max_frame_bytes,
-            admission: args.admission,
-            default_deadline_ms: args.default_deadline_ms,
-            cache_dir: args.cache_dir,
-        },
-        serve_executor(),
-        batch_executor_for(&args.blob_dir),
-        serve_snapshot_executor(),
-        serve_live_executor(),
-    )
-    .map_err(|e| format!("cannot start server: {e}"))?;
+    let cfg = ServeConfig {
+        addr: args.addr,
+        threads: args.threads,
+        max_frame_bytes: args.max_frame_bytes,
+        admission: args.admission,
+        default_deadline_ms: args.default_deadline_ms,
+        cache_dir: args.cache_dir,
+    };
+    let handle =
+        start_server(cfg, args.blob_dir).map_err(|e| format!("cannot start server: {e}"))?;
     // Scripts (and CI) parse this line for the bound port.
     println!("listening on {}", handle.addr());
     handle.join();
@@ -897,21 +900,15 @@ fn serve_fleet(args: ServeArgs) -> Result<(), String> {
 }
 
 fn worker(args: WorkerArgs) -> Result<(), String> {
-    let handle = start_live(
-        ServeConfig {
-            addr: args.addr,
-            threads: args.threads,
-            max_frame_bytes: args.max_frame_bytes,
-            admission: args.admission,
-            default_deadline_ms: None,
-            cache_dir: None,
-        },
-        serve_executor(),
-        batch_executor_for(&args.blob_dir),
-        serve_snapshot_executor(),
-        serve_live_executor(),
-    )
-    .map_err(|e| format!("cannot start worker: {e}"))?;
+    let cfg = ServeConfig {
+        addr: args.addr,
+        threads: args.threads,
+        max_frame_bytes: args.max_frame_bytes,
+        admission: args.admission,
+        ..ServeConfig::default()
+    };
+    let handle =
+        start_server(cfg, args.blob_dir).map_err(|e| format!("cannot start worker: {e}"))?;
     println!("listening on {}", handle.addr());
     // The coordinator may still be binding when we come up; retry the
     // registration briefly before giving up.
