@@ -33,13 +33,11 @@
 
 use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::client::{Client, ClientError, SubmitOptions};
-use crate::front::{spawn_accept, Backend};
-use crate::live::LiveRegistry;
+use crate::front::{spawn_accept, Backend, LivePlane};
 use crate::pool::JobState;
 #[cfg(test)]
 use crate::protocol::BatchKind;
 use crate::protocol::{error_response, BatchPoint, BatchSpec, JobSpec, DEFAULT_MAX_FRAME_BYTES};
-use crate::LiveExecutor;
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::collections::HashMap;
@@ -635,7 +633,7 @@ impl Backend for CoordinatorCore {
     /// Live runs are bound to one executing process; a coordinator only
     /// routes batch work, so the streaming plane is refused here — point
     /// `subscribe`/`control` at a worker directly.
-    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
+    fn live(&self) -> Result<LivePlane<'_>, &'static str> {
         Err("coordinator does not host live runs")
     }
 

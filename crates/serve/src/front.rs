@@ -18,10 +18,20 @@ use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// What a backend that hosts live runs lends the `subscribe` handler.
+pub(crate) struct LivePlane<'a> {
+    /// The live-run table.
+    pub registry: &'a LiveRegistry,
+    /// Runs the job behind a new-run `subscribe`.
+    pub executor: &'a LiveExecutor,
+    /// Counts executor panics; shared with the executor thread.
+    pub panicked: &'a Arc<AtomicU64>,
+}
 
 /// The service behind a front end: a local worker pool
 /// ([`ServeCore`](crate::pool::ServeCore)) or a fleet coordinator
@@ -73,8 +83,8 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// The complete `snapshot` response for `(scenario, warmup)`.
     fn snapshot(&self, scenario: String, warmup: u64) -> Value;
 
-    /// The live-run table and executor, or why live runs are refused.
-    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str>;
+    /// The live-run plane, or why live runs are refused.
+    fn live(&self) -> Result<LivePlane<'_>, &'static str>;
 
     /// Drains the backend; the `shutdown` response's counters, in
     /// wire order.
@@ -160,17 +170,9 @@ fn handle_connection<B: Backend>(
         // the only op handled outside `dispatch`.
         if let Request::Subscribe { spec, run, client } = request {
             let served = match core.live() {
-                Ok((registry, executor)) => serve_subscription(
-                    &*core,
-                    registry,
-                    executor,
-                    &mut writer,
-                    spec,
-                    run,
-                    client,
-                    &line,
-                    &peer,
-                ),
+                Ok(plane) => {
+                    serve_subscription(&*core, plane, &mut writer, spec, run, client, &line, &peer)
+                }
                 Err(refusal) => send(&mut writer, &error_response("subscribe", refusal)),
             };
             if served.is_err() {
@@ -221,8 +223,7 @@ fn admission<B: Backend>(
 #[allow(clippy::too_many_arguments)]
 fn serve_subscription<B: Backend>(
     core: &B,
-    registry: &LiveRegistry,
-    live_executor: &LiveExecutor,
+    plane: LivePlane<'_>,
     writer: &mut TcpStream,
     spec: Option<LiveSpec>,
     run: Option<u64>,
@@ -237,7 +238,7 @@ fn serve_subscription<B: Backend>(
             if let Some(denied) = admission(core, "subscribe", client, line, peer) {
                 return send(writer, &denied);
             }
-            let session = match registry.create() {
+            let session = match plane.registry.create() {
                 Ok(session) => session,
                 Err(message) => return send(writer, &error_response("subscribe", message)),
             };
@@ -247,14 +248,17 @@ fn serve_subscription<B: Backend>(
             // one of them (an attaching subscriber, by contrast, only
             // sees frames from its attach point on).
             let sub = session.subscribe();
-            let executor = Arc::clone(live_executor);
+            let executor = Arc::clone(plane.executor);
+            let panicked = Arc::clone(plane.panicked);
             let run_session = Arc::clone(&session);
             std::thread::spawn(move || {
                 // Scenario errors surface through the session (a failed
                 // end-of-stream object), not the subscribe ack: by the
                 // time the executor parses anything the ack is long
                 // gone.
-                if let Err(message) = isolated(|| executor(&spec, Arc::clone(&run_session))) {
+                if let Err(message) =
+                    isolated(&panicked, || executor(&spec, Arc::clone(&run_session)))
+                {
                     if !run_session.finished() {
                         run_session.finish(None, None, Some(message));
                     }
@@ -262,7 +266,7 @@ fn serve_subscription<B: Backend>(
             });
             (session, Some(sub))
         }
-        (None, Some(run)) => match registry.get(run) {
+        (None, Some(run)) => match plane.registry.get(run) {
             Some(session) => (session, None),
             None => {
                 return send(
@@ -302,8 +306,9 @@ fn serve_subscription<B: Backend>(
 
 /// The live session `run` names, or the error response for `op`.
 fn live_session<B: Backend>(core: &B, op: &str, run: u64) -> Result<Arc<LiveSession>, Value> {
-    let (registry, _) = core.live().map_err(|refusal| error_response(op, refusal))?;
-    registry
+    let plane = core.live().map_err(|refusal| error_response(op, refusal))?;
+    plane
+        .registry
         .get(run)
         .ok_or_else(|| error_response(op, format!("unknown live run {run}")))
 }

@@ -23,7 +23,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::cache::{batch_point_key, job_key, ResultCache};
-use crate::front::Backend;
+use crate::front::{Backend, LivePlane};
 use crate::live::LiveRegistry;
 use crate::protocol::{error_response, response_head, to_hex, BatchSpec, JobSpec};
 use crate::{BatchExecutor, Executor, LiveExecutor, SnapshotExecutor};
@@ -150,9 +150,13 @@ pub fn worker_count() -> usize {
 
 /// Runs one executor call, turning a panic into the job's failure so a
 /// faulty executor can neither kill its thread nor leave its jobs (or
-/// live run) unresolved.
-pub(crate) fn isolated<T>(call: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+/// live run) unresolved. Each panic bumps `panicked`.
+pub(crate) fn isolated<T>(
+    panicked: &AtomicU64,
+    call: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        panicked.fetch_add(1, Ordering::Relaxed);
         let message = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -184,6 +188,9 @@ pub struct ServeCore {
     frames: AtomicU64,
     malformed: AtomicU64,
     oversized: AtomicU64,
+    /// Executor calls that panicked (single, batch and live), shared
+    /// with the threads that run live executors.
+    panicked: Arc<AtomicU64>,
 }
 
 impl ServeCore {
@@ -213,6 +220,7 @@ impl ServeCore {
             frames: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             oversized: AtomicU64::new(0),
+            panicked: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -283,7 +291,7 @@ impl ServeCore {
                 }
             }
             let t0 = Instant::now();
-            let outcome = isolated(|| match &job.work {
+            let outcome = isolated(&self.panicked, || match &job.work {
                 Work::Single(spec) => executor(spec).map(|report| vec![report]),
                 Work::Batch(spec) => batch_executor(spec),
             })
@@ -528,6 +536,7 @@ impl Backend for ServeCore {
         reg.counter("serve.jobs.executed", executed);
         reg.counter("serve.jobs.failed", failed);
         reg.counter("serve.jobs.expired", expired);
+        reg.counter("serve.jobs.panicked", self.panicked.load(Ordering::Relaxed));
         reg.counter("serve.cache.entries", self.cache.len() as u64);
         reg.counter("serve.cache.hits", self.cache.hits());
         reg.counter("serve.cache.misses", self.cache.misses());
@@ -585,8 +594,12 @@ impl Backend for ServeCore {
         }
     }
 
-    fn live(&self) -> Result<(&LiveRegistry, &LiveExecutor), &'static str> {
-        Ok((&self.live, &self.live_executor))
+    fn live(&self) -> Result<LivePlane<'_>, &'static str> {
+        Ok(LivePlane {
+            registry: &self.live,
+            executor: &self.live_executor,
+            panicked: &self.panicked,
+        })
     }
 
     fn drain(&self) -> Vec<(&'static str, u64)> {
@@ -804,6 +817,11 @@ mod tests {
             .recv_timeout(Duration::from_secs(10))
             .expect("drain returns despite the panics");
         assert_eq!((summary.executed, summary.failed), (1, 3));
+        assert_eq!(
+            core.metrics().get("serve.jobs.panicked"),
+            Some(&fgqos_sim::metrics::MetricValue::Counter(2)),
+            "one panic per executor call: the single job and the batch"
+        );
         for w in workers {
             w.join().unwrap();
         }
@@ -825,6 +843,7 @@ mod tests {
             "serve.jobs.executed",
             "serve.jobs.failed",
             "serve.jobs.expired",
+            "serve.jobs.panicked",
             "serve.cache.entries",
             "serve.cache.hits",
             "serve.cache.misses",

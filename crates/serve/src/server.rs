@@ -308,6 +308,15 @@ mod tests {
             end.get("error").and_then(Value::as_str),
             Some("executor panicked: live boom")
         );
+        let metrics = wire.roundtrip(r#"{"op":"metrics"}"#);
+        assert_eq!(
+            metrics
+                .get("metrics")
+                .and_then(|doc| doc.get("metrics"))
+                .and_then(|m| m.get("serve.jobs.panicked")),
+            Some(&Value::from(1u64)),
+            "the live executor's panic is counted"
+        );
         shutdown(&mut wire, server);
     }
 

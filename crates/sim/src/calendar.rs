@@ -1,202 +1,111 @@
-//! Hierarchical event calendar: a timing wheel over near cycles plus a
-//! sorted heap for far wakes.
+//! Event calendar for the fast-path simulation loop: one wake cycle per
+//! component token, kept in a flat array.
 //!
-//! The fast-path simulation loop (see [`crate::system::Soc`]) keeps one
-//! calendar token per schedulable component — each master (which folds in
-//! its gate's window edges and its source's issue points), the DRAM
-//! controller (bank timing, bus drain, refresh) and every software
+//! The fast-path loop (see [`crate::system::Soc`]) keeps one token per
+//! schedulable component: each master (which folds in its gate's window
+//! edges and its source's issue points), the DRAM controller (bank
+//! timing, bus drain, refresh), the crossbar backlog and every software
 //! controller. A token's *wake* is the earliest cycle at which ticking
 //! that component could change simulation state; the calendar answers
-//! "which cycle executes next?" and "who is due now?" without scanning
-//! every component.
+//! "which cycle executes next?" and "who is due now?".
 //!
-//! Near wakes (within [`NEAR_SLOTS`] cycles of the cursor) land in a
-//! circular slot array indexed by `cycle % NEAR_SLOTS`; far wakes go to a
-//! min-heap and migrate into the wheel as the cursor approaches. The
-//! `wake` array is authoritative: superseded wheel/heap entries are
-//! detected lazily (entry cycle ≠ current wake) and dropped when visited,
-//! so reschedules are O(1) instead of requiring removal.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Width of the timing wheel in cycles. Events scheduled further out than
-/// this from the cursor wait in the far heap. Sized to cover the common
-/// event horizon of the memory path (bank timings, burst drains, DRAM
-/// queue turnaround) so steady-state traffic never touches the heap.
-pub const NEAR_SLOTS: usize = 256;
+//! A SoC has only a handful of tokens (5 to 8 in the shipped
+//! scenarios), and an executed cycle usually has one or two of them due.
+//! At that size a linear min-scan over the wake array beats any ordered
+//! structure: it needs no bookkeeping on reschedule, no stale-entry
+//! pruning and no sort, and the whole array fits in a cache line or two.
 
 /// Wake cycle meaning "never".
 pub const NEVER: u64 = u64::MAX;
 
-/// A timing-wheel + far-heap event calendar over dense component tokens.
-///
-/// ```
-/// use fgqos_sim::calendar::{EventCalendar, NEVER};
-///
-/// let mut cal = EventCalendar::new(3, 0);
-/// cal.set(0, 5);
-/// cal.set(1, 5);
-/// cal.set(2, 100_000); // far future: heap
-/// assert_eq!(cal.next_due(0), Some(5));
-/// let mut due = Vec::new();
-/// cal.take_due(5, &mut due);
-/// assert_eq!(due, [0, 1]);
-/// assert_eq!(cal.wake_of(0), NEVER); // taken tokens must be rescheduled
-/// assert_eq!(cal.next_due(6), Some(100_000));
-/// ```
+/// A flat event calendar over dense component tokens.
 #[derive(Debug)]
 pub struct EventCalendar {
-    /// Authoritative earliest-wake per token; `NEVER` = unscheduled.
+    /// Earliest wake per token; `NEVER` = unscheduled.
     wake: Vec<u64>,
-    /// Circular near-window slots of `(cycle, token)` entries.
-    near: Vec<Vec<(u64, u32)>>,
-    /// Far events, min-ordered by `(cycle, token)`.
-    far: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Cycle the wheel window starts at; slots cover
-    /// `[cursor, cursor + NEAR_SLOTS)`.
-    cursor: u64,
+    /// The last cycle the calendar was queried at. No wake may lie
+    /// before it (checked in debug builds).
+    now: u64,
 }
 
 impl EventCalendar {
     /// Creates a calendar for `tokens` components with all wakes at
-    /// `NEVER`, its wheel starting at cycle `start`.
+    /// `NEVER`, starting at cycle `start`.
     pub fn new(tokens: usize, start: u64) -> Self {
         EventCalendar {
             wake: vec![NEVER; tokens],
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
-            far: BinaryHeap::new(),
-            cursor: start,
+            now: start,
         }
     }
 
-    /// The authoritative wake of `token` (`NEVER` when unscheduled).
-    #[inline]
+    /// The wake of `token` (`NEVER` when unscheduled).
+    #[cfg(test)]
     pub fn wake_of(&self, token: u32) -> u64 {
         self.wake[token as usize]
     }
 
     /// Schedules `token` at exactly `cycle`, superseding any previous
-    /// wake (earlier or later — stale entries are dropped lazily).
+    /// wake (earlier or later).
+    #[inline]
     pub fn set(&mut self, token: u32, cycle: u64) {
-        if self.wake[token as usize] == cycle {
-            return; // already scheduled here; avoid duplicate entries
-        }
+        debug_assert!(cycle >= self.now, "cannot schedule in the past");
         self.wake[token as usize] = cycle;
-        if cycle == NEVER {
-            return;
-        }
-        self.insert(cycle, token);
     }
 
     /// Schedules `token` at `cycle` only if that is earlier than its
     /// current wake.
+    #[inline]
     pub fn set_min(&mut self, token: u32, cycle: u64) {
-        if cycle < self.wake[token as usize] {
-            self.set(token, cycle);
+        let wake = &mut self.wake[token as usize];
+        if cycle < *wake {
+            debug_assert!(cycle >= self.now, "cannot schedule in the past");
+            *wake = cycle;
         }
     }
 
     /// Unschedules `token`.
+    #[cfg(test)]
     pub fn clear(&mut self, token: u32) {
         self.wake[token as usize] = NEVER;
     }
 
-    fn insert(&mut self, cycle: u64, token: u32) {
-        debug_assert!(cycle >= self.cursor, "cannot schedule in the past");
-        if cycle - self.cursor < NEAR_SLOTS as u64 {
-            self.near[(cycle % NEAR_SLOTS as u64) as usize].push((cycle, token));
-        } else {
-            self.far.push(Reverse((cycle, token)));
-        }
-    }
-
-    /// Migrates far-heap entries that now fall inside the wheel window.
-    fn refill_near(&mut self) {
-        let horizon = self.cursor + NEAR_SLOTS as u64;
-        while let Some(&Reverse((cycle, token))) = self.far.peek() {
-            if self.wake[token as usize] != cycle {
-                self.far.pop(); // superseded
-                continue;
-            }
-            if cycle >= horizon {
-                break;
-            }
-            self.far.pop();
-            self.near[(cycle % NEAR_SLOTS as u64) as usize].push((cycle, token));
-        }
-    }
-
     /// Earliest cycle `>= now` at which any token is due, or `None` when
-    /// nothing is scheduled. Advances the wheel cursor to `now`, pruning
-    /// stale entries as it scans.
+    /// nothing is scheduled.
     pub fn next_due(&mut self, now: u64) -> Option<u64> {
-        debug_assert!(now >= self.cursor, "time cannot move backwards");
-        self.cursor = now;
-        self.refill_near();
-        // Scan the wheel window slot by slot for the earliest live entry.
-        let mut best: Option<u64> = None;
-        for offset in 0..NEAR_SLOTS as u64 {
-            let cycle_at = now + offset;
-            let slot = &mut self.near[(cycle_at % NEAR_SLOTS as u64) as usize];
-            if slot.is_empty() {
-                continue;
-            }
-            let wake = &self.wake;
-            slot.retain(|&(c, t)| c >= now && wake[t as usize] == c);
-            if let Some(c) = slot
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c.wrapping_sub(now) < NEAR_SLOTS as u64)
-                .min()
-            {
-                best = Some(best.map_or(c, |b| b.min(c)));
-                if c == cycle_at {
-                    // Nothing in later slots can beat an exact hit here.
-                    break;
-                }
-            }
-        }
-        if best.is_some() {
-            return best;
-        }
-        // Wheel empty: the answer lives in the far heap (if anywhere).
-        while let Some(&Reverse((cycle, token))) = self.far.peek() {
-            if self.wake[token as usize] != cycle {
-                self.far.pop();
-                continue;
-            }
-            return Some(cycle);
-        }
-        None
+        debug_assert!(now >= self.now, "time cannot move backwards");
+        self.now = now;
+        let min = self.wake.iter().copied().min().unwrap_or(NEVER);
+        debug_assert!(min >= now, "a wake lies in the past");
+        (min != NEVER).then_some(min)
     }
 
     /// Collects every token due at exactly `now` into `out` (ascending
     /// token order) and marks them taken (`wake = NEVER`): the caller
     /// ticks them and re-schedules from their fresh `next_activity`.
     pub fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
+        debug_assert!(now >= self.now, "time cannot move backwards");
+        self.now = now;
         out.clear();
-        debug_assert!(now >= self.cursor, "time cannot move backwards");
-        self.cursor = now;
-        self.refill_near();
-        let slot = &mut self.near[(now % NEAR_SLOTS as u64) as usize];
-        let wake = &mut self.wake;
-        slot.retain(|&(c, t)| {
-            if c == now && wake[t as usize] == now {
-                wake[t as usize] = NEVER;
-                out.push(t);
-                false
-            } else {
-                c > now && wake[t as usize] == c
+        for (token, wake) in self.wake.iter_mut().enumerate() {
+            debug_assert!(*wake >= now, "a wake lies in the past");
+            if *wake == now {
+                *wake = NEVER;
+                out.push(token as u32);
             }
-        });
-        out.sort_unstable();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// Width of the timing wheel an earlier calendar used. The edge cases
+    /// below straddle it, so they stay as regression tests.
+    const NEAR_SLOTS: usize = 256;
 
     fn due_at(cal: &mut EventCalendar, now: u64) -> Vec<u32> {
         let mut out = Vec::new();
@@ -373,5 +282,87 @@ mod tests {
             now = next;
         }
         assert_eq!(fired, 1);
+    }
+
+    #[test]
+    fn near_and_far_wakes_fire_in_order() {
+        let mut cal = EventCalendar::new(3, 0);
+        cal.set(0, 5);
+        cal.set(1, 5);
+        cal.set(2, 100_000);
+        assert_eq!(cal.next_due(0), Some(5));
+        assert_eq!(due_at(&mut cal, 5), [0, 1]);
+        assert_eq!(cal.wake_of(0), NEVER, "taken tokens must be rescheduled");
+        assert_eq!(cal.next_due(6), Some(100_000));
+    }
+
+    /// Random operation sequences against a `BTreeSet<(cycle, token)>`
+    /// reference holding each scheduled token once.
+    #[test]
+    fn matches_an_ordered_set_model() {
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let tokens = rng.gen_range(1..=64u32);
+            let mut cal = EventCalendar::new(tokens as usize, 0);
+            let mut model: BTreeSet<(u64, u32)> = BTreeSet::new();
+            let mut wake = vec![NEVER; tokens as usize];
+            let mut now = 0u64;
+            let mut due = Vec::new();
+            for _ in 0..400 {
+                let token = rng.gen_range(0..tokens);
+                // Mostly near wakes, so tokens collide on the same cycle.
+                let horizon = rng.gen_range(1..=600u64);
+                let cycle = now + rng.gen_range(0..=horizon);
+                let op = rng.gen_range(0..5u32);
+                let before = wake[token as usize];
+                let after = match op {
+                    0 => {
+                        cal.set(token, cycle);
+                        cycle
+                    }
+                    1 => {
+                        cal.set_min(token, cycle);
+                        cycle.min(before)
+                    }
+                    2 => {
+                        cal.clear(token);
+                        NEVER
+                    }
+                    _ => before,
+                };
+                model.remove(&(before, token));
+                if after != NEVER {
+                    model.insert((after, token));
+                }
+                wake[token as usize] = after;
+                match op {
+                    0..=2 => {}
+                    3 => {
+                        let expect = model.first().map(|&(c, _)| c);
+                        assert_eq!(cal.next_due(now), expect, "seed {seed}");
+                    }
+                    _ => {
+                        let Some(&(next, _)) = model.first() else {
+                            continue;
+                        };
+                        now = next;
+                        cal.take_due(now, &mut due);
+                        let expect: Vec<u32> = model
+                            .iter()
+                            .take_while(|&&(c, _)| c == now)
+                            .map(|&(_, t)| t)
+                            .collect();
+                        assert_eq!(due, expect, "seed {seed}");
+                        for &t in &expect {
+                            model.remove(&(now, t));
+                            wake[t as usize] = NEVER;
+                        }
+                    }
+                }
+                for t in 0..tokens {
+                    assert_eq!(cal.wake_of(t), wake[t as usize], "seed {seed}");
+                }
+            }
+        }
     }
 }

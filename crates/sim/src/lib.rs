@@ -60,7 +60,7 @@
 
 pub mod arena;
 pub mod axi;
-pub mod calendar;
+mod calendar;
 pub mod cpu;
 pub mod dram;
 pub mod gate;
@@ -77,7 +77,6 @@ pub mod trace;
 
 pub use arena::{TxnArena, TxnId};
 pub use axi::{Dir, MasterId, Request, Response, BEAT_BYTES, MAX_BURST_BEATS};
-pub use calendar::EventCalendar;
 pub use cpu::{Cache, CacheConfig, CacheOutcome, CacheStats, CachedSource};
 pub use dram::{DramConfig, DramController, DramStats, RefreshStorm};
 pub use gate::{GateDecision, OpenGate, PortGate};

@@ -5,8 +5,8 @@
 //! * **Naive stepping** ([`Soc::step`] in a loop): every component ticks
 //!   every cycle. This is the reference semantics — simple, obviously
 //!   correct, O(masters × cycles).
-//! * **Event-calendar scheduling** (the default): a hierarchical
-//!   [`EventCalendar`] holds one wake token per master (folding gate
+//! * **Event-calendar scheduling** (the default): a flat event calendar
+//!   holds one wake cycle per master (folding gate
 //!   window edges and source issue points), one for the DRAM controller
 //!   (bank timings, completions, refresh), one for crossbar backlog and
 //!   one per software controller. Only cycles where some component can

@@ -1155,6 +1155,18 @@ txn 512
         }
     }
 
+    #[test]
+    fn scenario_without_regulated_master_is_a_parse_error() {
+        let text = "[master a]\nkind cpu\n";
+        match scenario_report(text, &RunOptions::default()) {
+            Err(RunError::Parse(e)) => {
+                assert_eq!(e.line, 1);
+                assert!(e.message.contains("no regulated master"), "{e}");
+            }
+            other => panic!("expected Parse error, got {other:?}"),
+        }
+    }
+
     fn batch(points: Vec<BatchPoint>) -> BatchSpec {
         BatchSpec {
             scenario: SCENARIO.to_string(),

@@ -1227,13 +1227,14 @@ impl ScenarioSpec {
         }
         close(&mut section, &mut reclaim, &mut xbar);
 
+        let first_master_line = drafts.first().map(|d| d.declared_at);
         let mut masters: Vec<MasterSpec> = Vec::with_capacity(drafts.len());
         for d in drafts {
             masters.push(d.finish()?);
         }
-        if masters.is_empty() {
+        let Some(first_master_line) = first_master_line else {
             return Err(err(0, "scenario declares no masters"));
-        }
+        };
         if reclaim.is_some() {
             let has_critical = masters.iter().any(|m| m.role == Role::Critical);
             let has_be = masters.iter().any(|m| m.role == Role::BestEffort);
@@ -1420,6 +1421,16 @@ impl ScenarioSpec {
             if find(name).is_none() {
                 return Err(unknown(name, *line));
             }
+        }
+        // The QoS fabric is built from the regulated ports; with none
+        // there is nothing to build. Checked last so the more specific
+        // diagnostics above win.
+        if masters.iter().all(|m| m.role == Role::Unmanaged) {
+            return Err(err(
+                first_master_line,
+                "scenario has no regulated master: \
+                 give at least one master `role critical` or `role best-effort`",
+            ));
         }
 
         Ok(ScenarioSpec {
@@ -1868,6 +1879,14 @@ workload kernel:memcpy:2
     fn empty_scenario_rejected() {
         let e = ScenarioSpec::parse("clock_mhz 500\n").unwrap_err();
         assert!(e.message.contains("no masters"));
+    }
+
+    #[test]
+    fn scenario_without_regulated_master_rejected() {
+        let text = "clock_mhz 1000\n[master a]\nkind cpu\n[master b]\nkind accel\n";
+        let e = ScenarioSpec::parse(text).unwrap_err();
+        assert!(e.message.contains("no regulated master"), "{e}");
+        assert_eq!(e.line, 2, "reported at the first master's declaration");
     }
 
     #[test]

@@ -142,6 +142,21 @@ fn check_prints_file_line_diagnostics() {
 }
 
 #[test]
+fn check_and_run_reject_a_scenario_without_regulated_master() {
+    let path = std::env::temp_dir().join("fgqos-cli-no-role.fgq");
+    std::fs::write(&path, "[master a]\nkind cpu\n").expect("write temp scenario");
+    let file = path.to_str().unwrap();
+    for args in [vec!["check", file], vec![file]] {
+        let out = fgqos().args(&args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let want = format!("{file}:1: scenario has no regulated master");
+        assert!(stderr.contains(&want), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn rejects_bad_flags() {
     let out = fgqos()
         .args(["x.fgq", "--bogus"])

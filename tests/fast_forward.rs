@@ -44,11 +44,12 @@ fn master_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
     )
 }
 
-/// 4–8 masters with deliberately tight regulation parameters: small
-/// replenish windows (`p1` capped) and low outstanding-transaction caps,
-/// so the crossbar and DRAM queue stay contended and the event calendar
-/// is exercised on its dense-wake path rather than the idle-skip path.
-fn contended_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
+/// `masters` masters with deliberately tight regulation parameters:
+/// small replenish windows (`p1` capped) and low outstanding-transaction
+/// caps, so the crossbar and DRAM queue stay contended and the event
+/// calendar is exercised on its dense-wake path rather than the
+/// idle-skip path.
+fn contended_specs(masters: std::ops::Range<usize>) -> impl Strategy<Value = Vec<MasterSpec>> {
     prop::collection::vec(
         (0u8..5, 0u8..5, 0u64..1_000, 0u64..2_000, 0u64..10_000).prop_map(
             |(gate_sel, src_sel, seed, p1, p2)| MasterSpec {
@@ -59,7 +60,7 @@ fn contended_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
                 p2,
             },
         ),
-        4..9,
+        masters,
     )
 }
 
@@ -276,7 +277,7 @@ proptest! {
     /// densely.
     #[test]
     fn contended_many_master_matches_naive(
-        specs in contended_specs(),
+        specs in contended_specs(4..9),
         refresh in prop::bool::ANY,
     ) {
         let mut naive = build_soc(&specs, refresh);
@@ -294,7 +295,7 @@ proptest! {
     /// identical mid-flight state.
     #[test]
     fn contended_many_master_matches_naive_at_horizon(
-        specs in contended_specs(),
+        specs in contended_specs(4..9),
         refresh in prop::bool::ANY,
         horizon in 10_000u64..100_000,
     ) {
@@ -328,6 +329,37 @@ proptest! {
         let b = fast.run_until_done(id, 5_000_000);
         prop_assert_eq!(a, b, "run_until_done diverges for {:?}", spec);
         prop_assert_eq!(fingerprint(&naive), fingerprint(&fast));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Contended 12–16-master SoCs, wider than any shipped SoC: the
+    /// calendar carries 14–18 tokens and most executed cycles have
+    /// several due at once. They agree at an arbitrary mid-flight
+    /// horizon and drain identically.
+    #[test]
+    fn wide_contended_matches_naive(
+        specs in contended_specs(12..17),
+        refresh in prop::bool::ANY,
+        horizon in 5_000u64..50_000,
+    ) {
+        let mut naive = build_soc(&specs, refresh);
+        naive.set_naive(true);
+        let mut fast = build_soc(&specs, refresh);
+
+        naive.run(horizon);
+        fast.run(horizon);
+        prop_assert_eq!(
+            fingerprint(&naive), fingerprint(&fast),
+            "stats diverge at horizon {} for {:?}", horizon, specs
+        );
+        let done_naive = naive.run_until_all_done(5_000_000);
+        let done_fast = fast.run_until_all_done(5_000_000);
+        prop_assert_eq!(done_naive, done_fast, "completion cycles diverge for {:?}", specs);
+        prop_assert!(done_naive.is_some(), "scenario deadlocked: {:?}", specs);
+        prop_assert_eq!(fingerprint(&naive), fingerprint(&fast), "stats diverge for {:?}", specs);
     }
 }
 
