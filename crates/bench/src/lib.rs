@@ -18,8 +18,8 @@
 //! | `exp_placement` | EXP-P: per-port vs. shared regulator placement |
 //!
 //! This library crate hosts the shared harness utilities ([`scenario`],
-//! [`sweep`], [`table`]) used by those binaries and by the Criterion
-//! benches. Every binary evaluates its grid through
+//! [`sweep`], [`table`]) used by those binaries, plus the benchmark
+//! SoCs of the `perf_smoke` gate ([`scenarios`]). Every binary evaluates its grid through
 //! [`sweep::run_parallel`], so wall-clock scales with the machine while
 //! row order stays deterministic.
 

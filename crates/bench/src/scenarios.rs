@@ -1,10 +1,6 @@
-//! Canonical benchmark SoCs shared by the Criterion micro-benchmarks
-//! (`benches/simulator.rs`) and the CI perf-smoke gate (`bin/perf_smoke`).
-//!
-//! Keeping these builders in one place guarantees the smoke test measures
-//! *exactly* the configurations whose throughput is recorded in
-//! `BENCH_sim.json` — a floor check against a different SoC would be
-//! meaningless.
+//! Benchmark SoCs of the CI perf-smoke gate (`bin/perf_smoke`): each
+//! builder is one machine the gate runs with a fast path switched on and
+//! off.
 
 use fgqos_core::regulator::{RegulatorConfig, TcRegulator};
 use fgqos_sim::axi::Dir;
@@ -14,10 +10,10 @@ use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, SocBuilder, SocConfig};
 use fgqos_workloads::spec::{SpecSource, TrafficSpec};
 
-/// Cycle horizon of the `soc_cycles` Criterion group.
+/// Cycle horizon of the `calendar/greedy8` gate.
 pub const SOC_CYCLES: u64 = 100_000;
 
-/// Cycle horizon of the `regulated_cycles` Criterion group.
+/// Cycle horizon of the `calendar/regulated` gate.
 pub const REGULATED_CYCLES: u64 = 1_000_000;
 
 /// Unregulated greedy streaming SoC: `masters` accelerator ports each
@@ -72,8 +68,8 @@ pub fn regulated_soc(masters: usize) -> Soc {
     b.build()
 }
 
-/// Cycle horizon of the `steady_state_leap` perf case — long enough
-/// that algebraic leaping dominates the wall clock.
+/// Cycle horizon of the `leap` gate — long enough that algebraic
+/// leaping dominates the wall clock.
 pub const LEAP_CYCLES: u64 = 50_000_000;
 
 /// Long saturated regulated SoC for the steady-state leap cases: two
@@ -82,9 +78,7 @@ pub const LEAP_CYCLES: u64 = 50_000_000;
 /// makes the open-row pattern itself periodic, and the 1 950-cycle
 /// window times the 4-window address pattern equals the 7 800-cycle
 /// refresh interval — so the whole machine state recurs and the leap
-/// engine can cross almost the entire horizon algebraically. This is
-/// the configuration whose leap speedup is recorded in
-/// `BENCH_sim.json` (`steady_state_leap`).
+/// engine can cross almost the entire horizon algebraically.
 pub fn leap_soc() -> Soc {
     let mut b = SocBuilder::new(SocConfig::default());
     for i in 0..2u64 {
@@ -107,11 +101,11 @@ pub fn leap_soc() -> Soc {
 /// Warm-up cycles run before the boundary of [`warm_start_snapshot`].
 pub const WARM_START_PREFIX_CYCLES: u64 = 1_000_000;
 
-/// Cycle horizon of the forked tail in the `warm_start` perf case.
+/// Cycle horizon of the forked tail in the `warm_start` gate.
 pub const WARM_START_TAIL_CYCLES: u64 = 1_000_000;
 
 /// Quiesced boundary snapshot of the regulated 4-master SoC after a
-/// warmed-up prefix run. The `warm_start` perf case measures the sweep
+/// warmed-up prefix run. The `warm_start` gate measures the sweep
 /// inner loop — fork this snapshot, run the divergent tail — so the
 /// prefix cost stays outside the timed region, exactly as it does in a
 /// `--warm-start` experiment sweep.

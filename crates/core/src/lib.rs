@@ -78,7 +78,7 @@ pub use cost::{ResourceEstimate, ResourceModel, Zu9egBudget};
 pub use driver::{RegulatorDriver, RegulatorTelemetry};
 pub use fabric::{PortRole, QosFabric, QosFabricBuilder};
 pub use irq::{IrqDispatcher, IrqHandler};
-pub use monitor::{WindowLog, WindowMonitor, WindowRecord};
+pub use monitor::WindowMonitor;
 pub use policy::{FeedbackController, PortBudget, ReclaimConfig, ReclaimPolicy, StaticPartition};
 pub use program::{FusedController, ProgramOp, ScenarioProgram, TimedOp};
 pub use regfile::{Reg, RegFile};

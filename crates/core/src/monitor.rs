@@ -12,138 +12,9 @@
 
 use crate::regfile::{Reg, RegFile};
 use fgqos_sim::axi::Dir;
-use fgqos_sim::json::Value;
 use fgqos_sim::time::Cycle;
 use fgqos_sim::{ForkCtx, StateHasher};
 use std::sync::Arc;
-
-/// Default capacity of a [`WindowLog`] (64 Ki windows ≈ 4 MiB).
-pub const DEFAULT_LOG_WINDOWS: usize = 1 << 16;
-
-/// One closed window as recorded by a [`WindowLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowRecord {
-    /// Zero-based index of the window since monitor creation/reset.
-    pub index: u64,
-    /// Start cycle of the window.
-    pub start: u64,
-    /// Window length in effect (cycles).
-    pub period: u64,
-    /// Bytes accepted in the window.
-    pub bytes: u64,
-    /// Read-channel bytes accepted in the window.
-    pub rd_bytes: u64,
-    /// Write-channel bytes accepted in the window.
-    pub wr_bytes: u64,
-    /// Transactions accepted in the window.
-    pub txns: u64,
-    /// Byte budget that was in force for the window.
-    pub budget: u64,
-    /// Bytes accepted beyond the budget (0 when within budget).
-    pub overshoot: u64,
-}
-
-/// Bounded per-window time series captured by a [`WindowMonitor`].
-///
-/// Opt-in via [`WindowMonitor::enable_log`]; the regulation path never
-/// allocates for it unless enabled. Once [`WindowLog::capacity`] windows
-/// are stored, further windows are counted in [`WindowLog::dropped`] and
-/// discarded (oldest-first retention, like
-/// [`fgqos_sim::trace::Trace`]).
-#[derive(Debug, Clone)]
-pub struct WindowLog {
-    records: Vec<WindowRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// Schema identifier written into window-log exports.
-pub const WINDOW_LOG_SCHEMA: &str = "fgqos.window-log";
-/// Schema version written into window-log exports.
-pub const WINDOW_LOG_VERSION: u64 = 1;
-
-impl WindowLog {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "window log capacity must be non-zero");
-        WindowLog {
-            records: Vec::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, record: WindowRecord) {
-        if self.records.len() < self.capacity {
-            self.records.push(record);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The recorded windows, oldest first.
-    pub fn records(&self) -> &[WindowRecord] {
-        &self.records
-    }
-
-    /// Maximum number of windows the log retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Windows discarded because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Exports the log as CSV with a schema-version comment line.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "# {WINDOW_LOG_SCHEMA} v{WINDOW_LOG_VERSION}\n\
-             window,start_cycle,period,bytes,rd_bytes,wr_bytes,txns,budget,overshoot\n"
-        );
-        for r in &self.records {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{}",
-                r.index,
-                r.start,
-                r.period,
-                r.bytes,
-                r.rd_bytes,
-                r.wr_bytes,
-                r.txns,
-                r.budget,
-                r.overshoot
-            );
-        }
-        out
-    }
-
-    /// Exports the log as a schema-versioned JSON document.
-    pub fn to_json(&self) -> Value {
-        let mut windows = Value::arr();
-        for r in &self.records {
-            let mut o = Value::obj();
-            o.set("window", Value::from(r.index));
-            o.set("start_cycle", Value::from(r.start));
-            o.set("period", Value::from(r.period));
-            o.set("bytes", Value::from(r.bytes));
-            o.set("rd_bytes", Value::from(r.rd_bytes));
-            o.set("wr_bytes", Value::from(r.wr_bytes));
-            o.set("txns", Value::from(r.txns));
-            o.set("budget", Value::from(r.budget));
-            o.set("overshoot", Value::from(r.overshoot));
-            windows.push(o);
-        }
-        let mut doc = Value::obj();
-        doc.set("schema", Value::str(WINDOW_LOG_SCHEMA));
-        doc.set("version", Value::from(WINDOW_LOG_VERSION));
-        doc.set("dropped", Value::from(self.dropped));
-        doc.set("windows", windows);
-        doc
-    }
-}
 
 /// Per-window byte/transaction accounting synced into a register file.
 #[derive(Debug)]
@@ -159,7 +30,6 @@ pub struct WindowMonitor {
     total_txns: u64,
     windows: u64,
     max_overshoot: u64,
-    log: Option<WindowLog>,
 }
 
 impl WindowMonitor {
@@ -179,23 +49,7 @@ impl WindowMonitor {
             total_txns: 0,
             windows: 0,
             max_overshoot: 0,
-            log: None,
         }
-    }
-
-    /// Starts recording every closed window into a bounded [`WindowLog`]
-    /// holding at most `capacity` windows. Replaces any existing log.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn enable_log(&mut self, capacity: usize) {
-        self.log = Some(WindowLog::new(capacity));
-    }
-
-    /// The per-window log, if [`WindowMonitor::enable_log`] was called.
-    pub fn log(&self) -> Option<&WindowLog> {
-        self.log.as_ref()
     }
 
     /// The period currently in effect (latched; may lag the register).
@@ -248,19 +102,6 @@ impl WindowMonitor {
         while now.saturating_since(self.window_start) >= self.period {
             let overshoot = self.win_bytes.saturating_sub(budget);
             self.max_overshoot = self.max_overshoot.max(overshoot);
-            if let Some(log) = &mut self.log {
-                log.push(WindowRecord {
-                    index: self.windows,
-                    start: self.window_start.get(),
-                    period: self.period,
-                    bytes: self.win_bytes,
-                    rd_bytes: self.win_rd_bytes,
-                    wr_bytes: self.win_wr_bytes,
-                    txns: self.win_txns,
-                    budget,
-                    overshoot,
-                });
-            }
             self.windows += 1;
             self.regs.write(
                 Reg::LastWinBytes,
@@ -341,13 +182,12 @@ impl WindowMonitor {
             total_txns: self.total_txns,
             windows: self.windows,
             max_overshoot: self.max_overshoot,
-            log: self.log.clone(),
         }
     }
 
     /// Feeds the monitor state (latched period, open-window counters,
-    /// lifetime totals, log occupancy) into a snapshot fingerprint
-    /// stream. The register block itself is hashed by the owning gate.
+    /// lifetime totals) into a snapshot fingerprint stream. The register
+    /// block itself is hashed by the owning gate.
     pub(crate) fn snap(&self, h: &mut StateHasher) {
         h.section("window-monitor");
         h.write_cycle(self.window_start.get());
@@ -362,28 +202,20 @@ impl WindowMonitor {
         h.write_counter_u64(self.total_txns);
         h.write_counter_u64(self.windows);
         h.write_u64(self.max_overshoot);
-        match &self.log {
-            None => h.write_bool(false),
-            Some(log) => {
-                h.write_bool(true);
-                h.write_usize(log.records.len());
-                h.write_u64(log.dropped);
-            }
-        }
+        // The stream's log-flag byte, always clear: keeping it keeps
+        // blob bytes and fingerprints unchanged.
+        h.write_bool(false);
     }
 
     /// Restores the monitor state from a serialized snapshot stream (the
     /// decode mirror of [`WindowMonitor::snap`]). The register block is
     /// restored separately by the owning gate.
     ///
-    /// The stream records only the window log's *occupancy*, not its
-    /// records, so a log is restorable only while still empty (the
-    /// warm-boundary case: logging enabled, no window closed yet); a
-    /// populated log is a diagnostic error rather than silent data loss.
-    ///
     /// # Errors
     ///
-    /// Any [`fgqos_sim::SnapDecodeError`] aborts the whole load.
+    /// Any [`fgqos_sim::SnapDecodeError`] aborts the whole load; a set
+    /// log flag (a stream from a monitor that kept a per-window log) is
+    /// a [`fgqos_sim::SnapDecodeError::BadValue`].
     pub(crate) fn snap_load(
         &mut self,
         r: &mut fgqos_sim::SnapReader<'_>,
@@ -400,37 +232,18 @@ impl WindowMonitor {
         self.total_txns = r.read_u64("window-monitor total_txns")?;
         self.windows = r.read_u64("window-monitor windows")?;
         self.max_overshoot = r.read_u64("window-monitor max_overshoot")?;
+        let at = r.position();
         if r.read_bool("window-monitor log flag")? {
-            let at = r.position();
-            let records = r.read_usize("window-monitor log records")?;
-            let dropped = r.read_u64("window-monitor log dropped")?;
-            if records != 0 || dropped != 0 {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "window log holds {records} record(s) ({dropped} dropped); \
-                         only empty logs are restorable"
-                    ),
-                    at,
-                });
-            }
-            let capacity = self
-                .log
-                .as_ref()
-                .map_or(DEFAULT_LOG_WINDOWS, |log| log.capacity);
-            self.log = Some(WindowLog::new(capacity));
-        } else {
-            self.log = None;
+            return Err(SnapDecodeError::BadValue {
+                what: "window-monitor log flag is set; per-window logs are not supported".into(),
+                at,
+            });
         }
         Ok(())
     }
 
-    /// Clears all telemetry (including any window log's records) and
-    /// restarts the open window at `now`.
+    /// Clears all telemetry and restarts the open window at `now`.
     pub fn reset(&mut self, now: Cycle) {
-        if let Some(log) = &mut self.log {
-            let capacity = log.capacity;
-            *log = WindowLog::new(capacity);
-        }
         self.win_bytes = 0;
         self.win_rd_bytes = 0;
         self.win_wr_bytes = 0;
@@ -536,73 +349,22 @@ mod tests {
     }
 
     #[test]
-    fn window_log_records_closed_windows() {
+    fn snapshot_stream_round_trips_and_rejects_a_set_log_flag() {
+        use fgqos_sim::{SnapDecodeError, SnapReader};
         let regs = RegFile::shared();
         regs.sw_write(Reg::Period, 10);
         let mut m = WindowMonitor::new(Arc::clone(&regs));
-        m.enable_log(8);
-        m.record_dir(100, Dir::Read);
-        m.record_dir(60, Dir::Write);
-        m.on_cycle(Cycle::new(10), 120);
-        m.on_cycle(Cycle::new(25), 120); // closes one idle window
-        let log = m.log().unwrap();
-        assert_eq!(log.records().len(), 2);
-        let r0 = log.records()[0];
-        assert_eq!(r0.index, 0);
-        assert_eq!(r0.start, 0);
-        assert_eq!(r0.bytes, 160);
-        assert_eq!(r0.rd_bytes, 100);
-        assert_eq!(r0.wr_bytes, 60);
-        assert_eq!(r0.txns, 2);
-        assert_eq!(r0.budget, 120);
-        assert_eq!(r0.overshoot, 40);
-        let r1 = log.records()[1];
-        assert_eq!(r1.index, 1);
-        assert_eq!(r1.bytes, 0);
-        assert_eq!(r1.overshoot, 0);
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    fn window_log_caps_and_counts_dropped() {
-        let regs = RegFile::shared();
-        regs.sw_write(Reg::Period, 10);
-        let mut m = WindowMonitor::new(Arc::clone(&regs));
-        m.enable_log(3);
-        m.on_cycle(Cycle::new(100), 0); // closes 10 windows
-        let log = m.log().unwrap();
-        assert_eq!(log.records().len(), 3);
-        assert_eq!(log.dropped(), 7);
-        assert_eq!(log.capacity(), 3);
-        // Reset clears records but keeps the capacity.
-        m.reset(Cycle::new(100));
-        let log = m.log().unwrap();
-        assert!(log.records().is_empty());
-        assert_eq!(log.dropped(), 0);
-        assert_eq!(log.capacity(), 3);
-    }
-
-    #[test]
-    fn window_log_exports() {
-        let regs = RegFile::shared();
-        regs.sw_write(Reg::Period, 10);
-        let mut m = WindowMonitor::new(Arc::clone(&regs));
-        m.enable_log(8);
         m.record(50);
-        m.on_cycle(Cycle::new(10), 40);
-        let log = m.log().unwrap();
-        let csv = log.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("# fgqos.window-log v1"));
-        assert_eq!(
-            lines.next(),
-            Some("window,start_cycle,period,bytes,rd_bytes,wr_bytes,txns,budget,overshoot")
-        );
-        assert_eq!(lines.next(), Some("0,0,10,50,50,0,1,40,10"));
-        let doc = log.to_json();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some(WINDOW_LOG_SCHEMA));
-        let w = doc.get("windows").unwrap().as_arr().unwrap();
-        assert_eq!(w[0].get("overshoot").unwrap().as_u64(), Some(10));
+        let mut h = StateHasher::recording();
+        m.snap(&mut h);
+        let mut bytes = h.take_bytes();
+        let mut back = WindowMonitor::new(RegFile::shared());
+        back.snap_load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(back.win_bytes(), 50);
+        // The log flag is the stream's last byte.
+        *bytes.last_mut().unwrap() = 1;
+        let e = back.snap_load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(e, SnapDecodeError::BadValue { .. }), "{e:?}");
     }
 
     #[test]

@@ -175,20 +175,6 @@ impl TcRegulator {
         self.monitor.win_bytes()
     }
 
-    /// Starts recording every closed window into a bounded
-    /// [`WindowLog`](crate::monitor::WindowLog) of `capacity` windows
-    /// (budget, granted bytes, overshoot — the paper's auditable
-    /// per-window telemetry).
-    pub fn enable_window_log(&mut self, capacity: usize) {
-        self.monitor.enable_log(capacity);
-    }
-
-    /// The per-window log, if [`TcRegulator::enable_window_log`] was
-    /// called.
-    pub fn window_log(&self) -> Option<&crate::monitor::WindowLog> {
-        self.monitor.log()
-    }
-
     /// Shared access to the underlying monitor (telemetry snapshots).
     pub fn monitor(&self) -> &WindowMonitor {
         &self.monitor
@@ -281,14 +267,8 @@ impl PortGate for TcRegulator {
 
     fn leap_support(&self, _now: Cycle) -> fgqos_sim::LeapSupport {
         // Admission depends only on register/monitor state (all in the
-        // snapshot stream), never on absolute time — except a window log,
-        // which materializes one record per window and cannot be
-        // reproduced algebraically.
-        if self.monitor.log().is_some() {
-            fgqos_sim::LeapSupport::deny()
-        } else {
-            fgqos_sim::LeapSupport::clear()
-        }
+        // snapshot stream), never on absolute time.
+        fgqos_sim::LeapSupport::clear()
     }
 
     fn label(&self) -> &'static str {
@@ -364,13 +344,6 @@ impl PortGate for TcRegulator {
             format!("{prefix}.max_overshoot"),
             self.regs.read(Reg::MaxOvershoot) as u64,
         );
-        if let Some(log) = self.monitor.log() {
-            registry.counter(
-                format!("{prefix}.window_log_len"),
-                log.records().len() as u64,
-            );
-            registry.counter(format!("{prefix}.window_log_dropped"), log.dropped());
-        }
     }
 }
 
@@ -665,18 +638,13 @@ mod tests {
     }
 
     #[test]
-    fn window_log_and_metrics_exposed() {
+    fn metrics_exposed() {
         use fgqos_sim::metrics::{MetricValue, MetricsRegistry};
         let (mut r, _d) = regulator(100, 128);
-        r.enable_window_log(4);
         r.on_cycle(Cycle::ZERO);
         assert!(r.try_accept(&req(0, 128), Cycle::ZERO).is_accept());
         let _ = r.try_accept(&req(1, 128), Cycle::new(1)); // denied
         r.on_cycle(Cycle::new(100));
-        let log = r.window_log().unwrap();
-        assert_eq!(log.records().len(), 1);
-        assert_eq!(log.records()[0].bytes, 128);
-        assert_eq!(log.records()[0].budget, 128);
 
         let mut reg = MetricsRegistry::new();
         r.collect_metrics("p", &mut reg);
@@ -684,7 +652,6 @@ mod tests {
         assert_eq!(reg.get("p.windows"), Some(&MetricValue::Counter(1)));
         assert_eq!(reg.get("p.enabled"), Some(&MetricValue::Counter(1)));
         assert_eq!(reg.get("p.budget_bytes"), Some(&MetricValue::Gauge(128.0)));
-        assert_eq!(reg.get("p.window_log_len"), Some(&MetricValue::Counter(1)));
     }
 
     #[test]

@@ -426,6 +426,7 @@ mod tests {
             fault_targets: vec!["dma0".into()],
             reserved_names: vec!["cpu".into(), "dma0".into()],
             clock_mhz: 1_000,
+            aggressor_weight: None,
         }
     }
 

@@ -29,6 +29,11 @@ pub struct BaseInfo {
     pub reserved_names: Vec<String>,
     /// Scenario clock in MHz (for bandwidth computations downstream).
     pub clock_mhz: u64,
+    /// Crossbar weight each generated aggressor gets: the largest
+    /// declared `weights` entry, so an adversary wins as much
+    /// arbitration share as any declared port. `None` when the base
+    /// declares no weights.
+    pub aggressor_weight: Option<u32>,
 }
 
 /// Address pattern of a generated aggressor.
@@ -144,6 +149,9 @@ impl FamilySpec {
         if self.aggressors.is_empty() && self.faults.is_empty() {
             return out;
         }
+        if let Some(w) = base.aggressor_weight {
+            out = widen_weights(&out, w, self.aggressors.len());
+        }
         out.push_str("\n# hunt overlay\n");
         for (i, a) in self.aggressors.iter().enumerate() {
             out.push_str(&format!(
@@ -208,6 +216,25 @@ pub fn filter_base(text: &str) -> String {
             continue;
         }
         out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Appends `weight` once per generated aggressor to every `weights`
+/// line, so the list still names one weight per master. (`weights` is
+/// an `[xbar]`-only key, so line-level rewriting is exact.)
+fn widen_weights(text: &str, weight: u32, aggressors: usize) -> String {
+    let extra = format!(",{weight}").repeat(aggressors);
+    let mut out = String::with_capacity(text.len() + extra.len());
+    for line in text.lines() {
+        let body = line.split('#').next().unwrap_or("");
+        let (list, rest) = line.split_at(body.trim_end().len());
+        out.push_str(list);
+        if body.split_whitespace().next() == Some("weights") {
+            out.push_str(&extra);
+        }
+        out.push_str(rest);
         out.push('\n');
     }
     out
@@ -616,6 +643,7 @@ mod tests {
             fault_targets: vec!["dma0".into()],
             reserved_names: vec!["cpu".into(), "dma0".into()],
             clock_mhz: 1_000,
+            aggressor_weight: None,
         }
     }
 
@@ -634,6 +662,34 @@ mod tests {
             burst_off: vec![0, 1_000],
             fault_at: vec![10_000, 50_000],
         }
+    }
+
+    #[test]
+    fn aggressors_get_the_largest_declared_weight() {
+        let b = BaseInfo {
+            text: "[xbar]\narbitration weighted\nweights 4,1  # cpu first\n".into(),
+            aggressor_weight: Some(4),
+            ..base()
+        };
+        let a = Aggressor {
+            base: 0,
+            footprint: 1 << 20,
+            txn: 256,
+            pattern: Pattern::Seq,
+            write: false,
+            burst: None,
+            outstanding: 0,
+            seed: 1,
+        };
+        let family = FamilySpec {
+            aggressors: vec![a.clone(), a],
+            faults: vec![],
+        };
+        assert!(family
+            .render(&b)
+            .contains("\nweights 4,1,4,4  # cpu first\n"));
+        let no_aggressors = FamilySpec::default().render(&b);
+        assert!(no_aggressors.contains("\nweights 4,1  # cpu first\n"));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   same [`fgqos_bench::report::Report`] document the `exp_*` binaries
 //!   emit.
 //! * [`pool`] — a job queue + worker pool on the
-//!   `fgqos_bench::sweep` threading model (FIFO order-stable,
-//!   `FGQOS_SERVE_THREADS` override), with per-job deadlines and a
-//!   graceful drain on shutdown. Workers have stable lane identities:
+//!   `fgqos_bench::sweep` threading model (FIFO order-stable), with
+//!   per-job deadlines and a graceful drain on shutdown. Workers have
+//!   stable lane identities:
 //!   a `submit_batch`'s uncached points are pinned to one lane so the
 //!   warm boundary snapshot is captured once and forked per point.
 //! * [`cache`] — a content-addressed in-memory result cache keyed by a

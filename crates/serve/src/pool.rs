@@ -2,8 +2,8 @@
 //!
 //! Same threading model as `fgqos_bench::sweep`: plain `std` threads
 //! over a mutex-protected FIFO queue, no external dependencies. The
-//! queue is strictly order-stable — with one worker
-//! (`FGQOS_SERVE_THREADS=1`) jobs execute exactly in submission order —
+//! queue is strictly order-stable — with one worker (`--threads 1`)
+//! jobs execute exactly in submission order —
 //! and because a `Soc` is `!Send`, each worker builds its simulator
 //! locally inside the injected [`Executor`], exactly as sweep workers
 //! do.
@@ -135,17 +135,12 @@ pub struct DrainSummary {
     pub expired: u64,
 }
 
-/// Number of pool workers: `FGQOS_SERVE_THREADS` override, else the
-/// machine's available parallelism.
+/// Default number of pool workers: the machine's available
+/// parallelism.
 pub fn worker_count() -> usize {
-    let hw = std::thread::available_parallelism()
+    std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1);
-    std::env::var("FGQOS_SERVE_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw)
+        .unwrap_or(1)
 }
 
 /// Runs one executor call, turning a panic into the job's failure so a

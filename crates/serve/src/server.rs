@@ -27,7 +27,7 @@ pub struct ServeConfig {
     /// Listen address. Port 0 picks a free port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads; 0 means [`worker_count`] (env override included).
+    /// Worker threads; 0 means [`worker_count`].
     pub threads: usize,
     /// Per-frame byte cap on the wire.
     pub max_frame_bytes: usize,

@@ -673,7 +673,12 @@ impl Soc {
     /// order — the naive core's phase-1 at this cycle. Masters must
     /// already be flushed through the previous cycle (both cores
     /// guarantee this at every `run` exit).
-    fn settle_controllers(&mut self) {
+    ///
+    /// This is the settle step of [`Soc::run_windowed`]'s interior
+    /// boundaries. Call it before an external register write at the
+    /// current cycle, so that the write lands after the cycle's own
+    /// scheduled ops, as an appended `[phase]` at that cycle would.
+    pub fn settle_controllers(&mut self) {
         let now = self.cycle;
         for c in &mut self.controllers {
             c.on_cycle(now);

@@ -48,7 +48,7 @@
 //!
 //! Serve options:
 //!   --addr HOST:PORT  listen address (default 127.0.0.1:7171)
-//!   --threads N       worker threads (default: FGQOS_SERVE_THREADS or cores)
+//!   --threads N       worker threads (default: available cores)
 //!   --max-frame N     per-request byte cap (default 262144)
 //!   --admit-budget N  per-client ingress budget, bytes/period (default 1 MiB)
 //!   --admit-period-ms N  ingress budget period (default 1000)

@@ -210,6 +210,7 @@ pub fn base_info(text: &str, spec: &ScenarioSpec) -> Result<BaseInfo, String> {
         fault_targets,
         reserved_names: spec.masters.iter().map(|m| m.name.clone()).collect(),
         clock_mhz: spec.freq.hz() / 1_000_000,
+        aggressor_weight: spec.xbar.weights.iter().copied().max(),
     })
 }
 
@@ -601,6 +602,59 @@ mod tests {
     fn bound_is_unmodeled_for_storms_and_kernels() {
         let storm = format!("{BASE}\n[fault storm]\nat 10000\nrefresh_storm 200 5000\n");
         assert!(bound_for(&storm, "cpu").unwrap().is_none());
+    }
+
+    /// Hunts a shipped scenario at the default budgets under `seed`.
+    fn hunt_shipped(text: &str, seed: u64) -> HuntResult {
+        let opts = HuntOptions {
+            config: HuntConfig {
+                seed,
+                ..HuntConfig::default()
+            },
+            ..HuntOptions::default()
+        };
+        run_hunt(text, &opts).unwrap()
+    }
+
+    /// `ramp`'s `[phase cruise]` fires at the warm boundary cycle: the
+    /// point's knobs must land after it, as the winner's appended
+    /// boundary phase does on replay.
+    #[test]
+    fn winner_replays_when_a_phase_fires_at_the_boundary() {
+        let h = hunt_shipped(include_str!("../scenarios/ramp.fgq"), 1);
+        assert!(h.replay_verified, "{}", h.winner_fgq);
+    }
+
+    /// `controller-crash`'s reclaim loop runs at the warm boundary
+    /// cycle: the knobs must land after it, as they do on replay.
+    #[test]
+    fn winner_replays_when_the_reclaim_loop_runs_at_the_boundary() {
+        let h = hunt_shipped(include_str!("../scenarios/controller-crash.fgq"), 1);
+        assert!(h.replay_verified, "{}", h.winner_fgq);
+    }
+
+    /// `kernels` arbitrates by weight: generated aggressors must extend
+    /// the weight list, or the candidate scenarios do not parse.
+    #[test]
+    fn hunt_runs_on_weighted_arbitration() {
+        let opts = HuntOptions {
+            config: HuntConfig {
+                seed: 1,
+                evals: 6,
+                explore: 4,
+                ..HuntConfig::default()
+            },
+            warmup: 20_000,
+            tail_cycles: 30_000,
+            addr: None,
+        };
+        let h = run_hunt(include_str!("../scenarios/kernels.fgq"), &opts).unwrap();
+        assert!(h.replay_verified, "{}", h.winner_fgq);
+        assert!(
+            h.winner_fgq.contains("\nweights 4,1,1,4"),
+            "{}",
+            h.winner_fgq
+        );
     }
 
     #[test]

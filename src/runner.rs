@@ -198,6 +198,10 @@ impl<'a> RunPlan<'a> {
             }
         };
         if let Some((period, budget)) = self.knobs {
+            // The knobs land after the boundary cycle's own controller
+            // ops, in the order a replay that appends them as a
+            // `[phase]` at the boundary executes them.
+            soc.settle_controllers();
             fabric.set_best_effort_budgets(
                 period.min(u32::MAX as u64) as u32,
                 budget.min(u32::MAX as u64) as u32,
@@ -1205,6 +1209,56 @@ txn 512
             a[1].to_json().to_compact(),
             "the budget knob must change the divergent tail"
         );
+    }
+
+    /// A batch point is the cold run of its scenario with the point's
+    /// knobs appended as a `[phase]` at the boundary, also when the
+    /// scenario's own controllers act at that cycle: `demo`'s reclaim
+    /// loop runs every 10,000 cycles, so it acts at a 20,000-cycle
+    /// boundary, and the knobs must land after it.
+    #[test]
+    fn batch_point_matches_a_cold_run_with_a_boundary_phase() {
+        let text = include_str!("../scenarios/demo.fgq");
+        let spec = BatchSpec {
+            scenario: text.to_string(),
+            warmup: 20_000,
+            ..batch(vec![BatchPoint {
+                period: 1_000,
+                budget: 512,
+            }])
+        };
+        let point = &batch_reports(&spec).expect("runs")[0];
+        let context = |r: &Report, key: &str| -> u64 {
+            r.blocks()
+                .iter()
+                .find_map(|b| match b {
+                    Block::Context { key: k, value } if k == key => value.parse().ok(),
+                    _ => None,
+                })
+                .expect("context present")
+        };
+        let boundary = context(point, "boundary");
+        assert_eq!(
+            boundary % 10_000,
+            0,
+            "the reclaim loop acts at the boundary"
+        );
+        let replay = format!(
+            "{text}\n[phase knobs]\nat {boundary}\nperiod * 1000\nbudget * 512\nenable * on\n"
+        );
+        let opts = RunOptions {
+            cycles: boundary + spec.cycles,
+            until_done: None,
+        };
+        let cold = scenario_report(&replay, &opts).expect("runs");
+        let rows = |r: &Report| -> Vec<Block> {
+            r.blocks()
+                .iter()
+                .filter(|b| matches!(b, Block::Row(_) | Block::Note(_)))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(rows(point), rows(&cold));
     }
 
     #[test]

@@ -799,6 +799,9 @@ impl ScenarioSpec {
         let mut expects: Vec<ExpectSpec> = Vec::new();
         let mut cycles: Option<u64> = None;
         let mut until_done: Option<(String, usize)> = None;
+        // Lines the late whole-scenario checks point at: the last
+        // `weights` key and the last `[policy reclaim]` header.
+        let (mut weights_line, mut reclaim_line) = (0, 0);
         let mut section = Section::Top;
 
         let close =
@@ -891,6 +894,7 @@ impl ScenarioSpec {
                     }
                     Some("policy") => match parts.next() {
                         Some("reclaim") => {
+                            reclaim_line = line_no;
                             section = Section::Reclaim(ReclaimConfig::default());
                         }
                         other => {
@@ -1057,6 +1061,7 @@ impl ScenarioSpec {
                         }
                     }
                     "weights" => {
+                        weights_line = line_no;
                         cfg.weights = value
                             .split(',')
                             .map(|w| parse_size(w, line_no).map(|v| v as u32))
@@ -1240,13 +1245,16 @@ impl ScenarioSpec {
             let has_be = masters.iter().any(|m| m.role == Role::BestEffort);
             if !has_critical || !has_be {
                 return Err(err(
-                    0,
+                    reclaim_line,
                     "reclaim policy needs at least one critical and one best-effort master",
                 ));
             }
         }
         if !xbar.weights.is_empty() && xbar.weights.len() != masters.len() {
-            return Err(err(0, "xbar weights must list one weight per master"));
+            return Err(err(
+                weights_line,
+                "xbar weights must list one weight per master",
+            ));
         }
 
         let names: Vec<&str> = masters.iter().map(|m| m.name.as_str()).collect();
@@ -1813,6 +1821,7 @@ workload kernel:memcpy:2
         let text = "[xbar]\nweights 1,2,3\n[master a]\nkind cpu\n";
         let e = ScenarioSpec::parse(text).unwrap_err();
         assert!(e.message.contains("one weight per master"));
+        assert_eq!(e.line, 2);
     }
 
     #[test]
@@ -1915,6 +1924,7 @@ workload kernel:memcpy:2
         let text = "[master a]\nkind cpu\n[policy reclaim]\nreserved 100\n";
         let e = ScenarioSpec::parse(text).unwrap_err();
         assert!(e.message.contains("reclaim policy needs"));
+        assert_eq!(e.line, 3);
     }
 
     #[test]
