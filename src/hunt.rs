@@ -657,6 +657,76 @@ mod tests {
         );
     }
 
+    /// `rogue-dma` under the default budgets with a short warm-up and
+    /// tail: several families per round. The report bytes are pinned;
+    /// regenerate with `FGQOS_BLESS=1 cargo test --lib hunt` after an
+    /// intentional change and review the diff.
+    #[test]
+    fn rogue_dma_hunt_report_matches_golden() {
+        let opts = HuntOptions {
+            config: HuntConfig {
+                seed: 3,
+                ..HuntConfig::default()
+            },
+            warmup: 20_000,
+            tail_cycles: 30_000,
+            addr: None,
+        };
+        let h = run_hunt(include_str!("../scenarios/rogue-dma.fgq"), &opts).unwrap();
+        assert!(h.replay_verified, "{}", h.winner_fgq);
+        let actual = format!("{}\n", h.report.to_pretty());
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/hunt_rogue_dma.json");
+        if std::env::var_os("FGQOS_BLESS").is_some() {
+            std::fs::write(path, &actual).unwrap();
+            return;
+        }
+        let expected = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {path} ({e}); run with FGQOS_BLESS=1"));
+        assert_eq!(
+            actual, expected,
+            "hunt report drifted; rerun with FGQOS_BLESS=1 and review the diff"
+        );
+    }
+
+    /// A hunt evaluated through a running server emits the same report
+    /// bytes as one evaluated in-process.
+    #[test]
+    fn served_hunt_matches_local_hunt() {
+        use fgqos_serve::server::{start_with, ServeConfig};
+        let server = start_with(
+            ServeConfig {
+                threads: 2,
+                ..ServeConfig::default()
+            },
+            crate::runner::serve_executor(),
+            crate::runner::serve_batch_executor(),
+        )
+        .expect("bind loopback");
+        let opts = HuntOptions {
+            config: HuntConfig {
+                evals: 8,
+                explore: 6,
+                ..tiny_opts().config
+            },
+            ..tiny_opts()
+        };
+        let local = run_hunt(BASE, &opts).unwrap();
+        let served = run_hunt(
+            BASE,
+            &HuntOptions {
+                addr: Some(server.addr().to_string()),
+                ..opts
+            },
+        );
+        Client::connect(server.addr())
+            .and_then(|mut c| c.shutdown())
+            .expect("graceful shutdown");
+        server.join();
+        let served = served.unwrap();
+        assert_eq!(local.report.to_pretty(), served.report.to_pretty());
+        assert!(local.replay_verified && served.replay_verified);
+    }
+
     #[test]
     fn hunt_is_reproducible_and_replay_verified() {
         let opts = tiny_opts();
