@@ -9,38 +9,31 @@
 //! locally.
 //!
 //! [`run_parallel`] is the whole API: a scoped worker pool over a shared
-//! work queue. Results are collected into the **input order** regardless
-//! of which worker finishes when, so table output stays byte-identical
-//! to a serial run and diffable across machines. Worker count defaults
-//! to the machine's parallelism and can be pinned with the
-//! `FGQOS_SWEEP_THREADS` environment variable (`1` forces a serial run
-//! in the calling thread).
+//! work queue, with the calling thread as one of the workers. Results
+//! are collected into the **input order** regardless of which worker
+//! finishes when, so table output stays byte-identical to a serial run
+//! and diffable across machines. The worker count is the machine's
+//! parallelism, capped by the point count.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Mutex;
 
 /// Number of workers used for a sweep of `points` points: the smaller of
-/// the available hardware parallelism and the point count, overridable
-/// via `FGQOS_SWEEP_THREADS`.
+/// the available hardware parallelism and the point count.
 pub fn worker_count(points: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let configured = std::env::var("FGQOS_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(hw);
-    configured.min(points.max(1))
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(points.max(1))
 }
 
 /// Evaluates `f` over every point of the grid on a scoped worker pool
 /// and returns the results **in input order**.
 ///
 /// `f` must be a pure function of its point (build the simulator inside
-/// the closure); it may be called from any worker thread. A panic in any
-/// point propagates to the caller after the pool unwinds.
+/// the closure); it may be called from any worker thread, the caller's
+/// included. A panic in any point propagates to the caller after the
+/// pool unwinds.
 ///
 /// ```
 /// let squares = fgqos_bench::sweep::run_parallel(vec![1u64, 2, 3, 4], |p| p * p);
@@ -52,23 +45,35 @@ where
     R: Send,
     F: Fn(P) -> R + Sync,
 {
+    run_on(worker_count(points.len()), points, f)
+}
+
+/// [`run_parallel`] on exactly `workers` workers: the calling thread
+/// plus `workers - 1` helpers (none for one worker or one point).
+fn run_on<P, R, F>(workers: usize, points: Vec<P>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(P) -> R + Sync,
+{
     let n = points.len();
-    if worker_count(n) <= 1 || n <= 1 {
+    if workers <= 1 || n <= 1 {
         return points.into_iter().map(f).collect();
     }
-    let workers = worker_count(n);
     let queue: Mutex<VecDeque<(usize, P)>> = Mutex::new(points.into_iter().enumerate().collect());
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let drain = || loop {
+        // Pop under the lock, compute outside it.
+        let item = queue.lock().expect("sweep queue poisoned").pop_front();
+        let Some((idx, point)) = item else { break };
+        let result = f(point);
+        *slots[idx].lock().expect("sweep slot poisoned") = Some(result);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Pop under the lock, compute outside it.
-                let item = queue.lock().expect("sweep queue poisoned").pop_front();
-                let Some((idx, point)) = item else { break };
-                let result = f(point);
-                *slots[idx].lock().expect("sweep slot poisoned") = Some(result);
-            });
+        for _ in 1..workers.min(n) {
+            scope.spawn(drain);
         }
+        drain();
     });
     slots
         .into_iter()
@@ -195,6 +200,42 @@ mod tests {
         let offset = 100u64;
         let out = run_parallel(vec![1u64, 2, 3], |p| p + offset);
         assert_eq!(out, vec![101, 102, 103]);
+    }
+
+    #[test]
+    fn serial_and_parallel_runs_agree() {
+        let points: Vec<u64> = (0..40).collect();
+        let work = |p: u64| {
+            std::thread::sleep(std::time::Duration::from_micros((40 - p) * 20));
+            p * p + 1
+        };
+        let serial = run_on(1, points.clone(), work);
+        assert_eq!(serial, points.iter().map(|p| p * p + 1).collect::<Vec<_>>());
+        assert_eq!(run_on(4, points, work), serial);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Helpers hold their first point until the caller has taken
+        // one, so a pool whose caller sits idle fails after the grace
+        // period instead of passing by luck.
+        let caller = std::thread::current().id();
+        let on_caller = AtomicUsize::new(0);
+        let grace = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let out = run_on(4, (0..16u64).collect(), |p| {
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::SeqCst);
+            }
+            while on_caller.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < grace {
+                std::thread::yield_now();
+            }
+            p
+        });
+        assert_eq!(out, (0..16u64).collect::<Vec<_>>());
+        assert!(
+            on_caller.load(Ordering::SeqCst) > 0,
+            "the caller drains the queue too"
+        );
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! evaluation budget.
 //!
 //! Evaluation is injected as a closure so the engine works identically
-//! over the in-process fork pool and a remote serve fleet; the engine
-//! only ever hands the evaluator one *family* (scenario text) and its
-//! pending `(period, budget)` points, which maps 1:1 onto the warm-start
-//! batch machinery (`submit_batch` / `batch_reports`).
+//! over the in-process fork pool and a remote serve fleet. The engine
+//! hands the evaluator one *round* at a time: every *family* (scenario
+//! text) with pending candidates, each with its `(period, budget)`
+//! points. One family maps 1:1 onto the warm-start batch machinery
+//! (`submit_batch` / `batch_reports`); the families of a round share
+//! nothing, so the evaluator may run them concurrently. Results are
+//! consumed in round order, so the outcome does not depend on which
+//! family finished first.
 
 use crate::space::{midpoint, BaseInfo, Candidate, SearchSpace};
 use fgqos_bench::rng::XorShift64Star;
@@ -155,9 +159,66 @@ pub struct HuntOutcome {
     pub bisect_evals: usize,
 }
 
-/// Evaluates one family: scenario text plus its `(period, budget)`
-/// points, returning one [`Measured`] per point in point order.
-pub type Evaluator<'a> = dyn FnMut(&str, &[(u64, u64)]) -> Result<Vec<Measured>, String> + 'a;
+/// One family of a round: scenario text plus its `(period, budget)`
+/// points.
+pub type Family = (String, Vec<(u64, u64)>);
+
+/// Evaluates one round of families, returning one entry per family in
+/// round order: one [`Measured`] per point in point order, or the
+/// family's error.
+pub type Evaluator<'a> = dyn FnMut(&[Family]) -> Vec<Result<Vec<Measured>, String>> + 'a;
+
+/// Evaluates `round` and checks the shape of the answer. The error is
+/// the first failed family in round order.
+fn evaluate(evaluator: &mut Evaluator<'_>, round: &[Family]) -> Result<Vec<Vec<Measured>>, String> {
+    let results = evaluator(round);
+    if results.len() != round.len() {
+        return Err(format!(
+            "evaluator returned {} results for {} families",
+            results.len(),
+            round.len()
+        ));
+    }
+    round
+        .iter()
+        .zip(results)
+        .map(|((_, points), measured)| {
+            let measured = measured?;
+            if measured.len() != points.len() {
+                return Err(format!(
+                    "evaluator returned {} results for {} points",
+                    measured.len(),
+                    points.len()
+                ));
+            }
+            Ok(measured)
+        })
+        .collect()
+}
+
+/// Scores one evaluation and appends it to the trajectory.
+fn record(
+    objective: Objective,
+    trajectory: &mut Vec<TrajectoryPoint>,
+    text: &str,
+    candidate: Candidate,
+    measured: Measured,
+) -> Evaluated {
+    let e = Evaluated {
+        candidate,
+        measured,
+    };
+    let score = e.score(objective);
+    trajectory.push(TrajectoryPoint {
+        eval: trajectory.len() + 1,
+        family: family_fingerprint(text),
+        period: e.candidate.period,
+        budget: e.candidate.budget,
+        objective: score,
+        best: trajectory.last().map_or(score, |t| t.best.max(score)),
+    });
+    e
+}
 
 fn family_fingerprint(text: &str) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -174,7 +235,8 @@ fn family_fingerprint(text: &str) -> String {
 /// evaluator yield an identical outcome — candidate order, trajectory
 /// and winner. Randomness comes only from `cfg.seed` via split streams;
 /// batches iterate in lexicographic family order; ranking ties break on
-/// candidate identity.
+/// candidate identity; a round's results are consumed in family order
+/// whatever order the evaluator finished them in.
 pub fn run(
     cfg: &HuntConfig,
     space: &SearchSpace,
@@ -193,9 +255,7 @@ pub fn run(
     let mut population: Vec<Evaluated> = Vec::new();
     let mut trajectory: Vec<TrajectoryPoint> = Vec::new();
     let mut families: BTreeSet<String> = BTreeSet::new();
-    let mut evals_used = 0usize;
     let mut rounds = 0usize;
-    let mut best_so_far = 0u64;
 
     // The baseline candidate — no overlay, first period/budget — is
     // always evaluated first, so the trajectory shows how far the search
@@ -220,45 +280,30 @@ pub fn run(
         }
     }
 
-    while evals_used < cfg.evals && !pending.is_empty() {
-        pending.truncate(cfg.evals - evals_used);
-        // Group by family text: one warmed prefix per group, iterated
-        // in lexicographic order for determinism.
+    while trajectory.len() < cfg.evals && !pending.is_empty() {
+        pending.truncate(cfg.evals - trajectory.len());
+        // Group by family text: one warmed prefix per group, in
+        // lexicographic order for determinism. The whole round goes to
+        // the evaluator at once.
         let mut groups: BTreeMap<String, Vec<Candidate>> = BTreeMap::new();
         for c in pending.drain(..) {
             groups.entry(c.family.render(base)).or_default().push(c);
         }
-        for (text, members) in groups {
-            families.insert(text.clone());
-            let points: Vec<(u64, u64)> = members.iter().map(|c| (c.period, c.budget)).collect();
-            let measured = evaluator(&text, &points)?;
-            if measured.len() != members.len() {
-                return Err(format!(
-                    "evaluator returned {} results for {} points",
-                    measured.len(),
-                    members.len()
-                ));
-            }
+        let (round, members): (Vec<Family>, Vec<Vec<Candidate>>) = groups
+            .into_iter()
+            .map(|(text, members)| {
+                let points = members.iter().map(|c| (c.period, c.budget)).collect();
+                ((text, points), members)
+            })
+            .unzip();
+        let measured = evaluate(evaluator, &round)?;
+        for (((text, _), members), measured) in round.into_iter().zip(members).zip(measured) {
             for (candidate, m) in members.into_iter().zip(measured) {
-                evals_used += 1;
-                let e = Evaluated {
-                    candidate,
-                    measured: m,
-                };
-                let score = e.score(cfg.objective);
-                best_so_far = best_so_far.max(score);
-                trajectory.push(TrajectoryPoint {
-                    eval: evals_used,
-                    family: family_fingerprint(&text),
-                    period: e.candidate.period,
-                    budget: e.candidate.budget,
-                    objective: score,
-                    best: best_so_far,
-                });
-                population.push(e);
+                population.push(record(cfg.objective, &mut trajectory, &text, candidate, m));
             }
+            families.insert(text);
         }
-        if evals_used >= cfg.evals {
+        if trajectory.len() >= cfg.evals {
             break;
         }
 
@@ -342,31 +387,14 @@ pub fn run(
                         if !seen.insert(cand.key(base)) {
                             continue;
                         }
+                        // Serial on purpose: the next probe reads the
+                        // leader this one may replace.
                         let text = cand.family.render(base);
-                        families.insert(text.clone());
-                        let measured = evaluator(&text, &[(cand.period, cand.budget)])?;
-                        if measured.len() != 1 {
-                            return Err(format!(
-                                "evaluator returned {} results for 1 point",
-                                measured.len()
-                            ));
-                        }
+                        let round = [(text.clone(), vec![(cand.period, cand.budget)])];
+                        let m = evaluate(evaluator, &round)?[0][0];
                         bisect_evals += 1;
-                        evals_used += 1;
-                        let e = Evaluated {
-                            candidate: cand,
-                            measured: measured[0],
-                        };
-                        let score = e.score(cfg.objective);
-                        best_so_far = best_so_far.max(score);
-                        trajectory.push(TrajectoryPoint {
-                            eval: evals_used,
-                            family: family_fingerprint(&text),
-                            period: e.candidate.period,
-                            budget: e.candidate.budget,
-                            objective: score,
-                            best: best_so_far,
-                        });
+                        let e = record(cfg.objective, &mut trajectory, &text, cand, m);
+                        families.insert(text);
                         if rank(&e, &leader).is_gt() {
                             leader = e.clone();
                             improved_side = Some(side);
@@ -404,8 +432,8 @@ pub fn run(
         .ok_or("no candidate was evaluated")?;
     Ok(HuntOutcome {
         best,
+        evals_used: trajectory.len(),
         trajectory,
-        evals_used,
         families: families.len(),
         rounds,
         bisect_evals,
@@ -447,6 +475,13 @@ mod tests {
         }
     }
 
+    /// Lifts a per-family function into a round evaluator.
+    fn per_family<'a>(
+        f: impl Fn(&str, &[(u64, u64)]) -> Result<Vec<Measured>, String> + 'a,
+    ) -> Box<Evaluator<'a>> {
+        Box::new(move |round: &[Family]| round.iter().map(|(t, p)| f(t, p)).collect())
+    }
+
     /// A pure synthetic evaluator: latency grows with budget and with
     /// overlay size, so the search has a real gradient to climb.
     fn synthetic(text: &str, points: &[(u64, u64)]) -> Result<Vec<Measured>, String> {
@@ -478,11 +513,7 @@ mod tests {
             explore: 12,
             ..HuntConfig::default()
         };
-        let run_once = || {
-            let mut boxed: Box<Evaluator<'_>> =
-                Box::new(|t: &str, p: &[(u64, u64)]| synthetic(t, p));
-            run(&cfg, &s, &b, &mut *boxed).expect("hunt runs")
-        };
+        let run_once = || run(&cfg, &s, &b, &mut *per_family(synthetic)).expect("hunt runs");
         let a = run_once();
         let c = run_once();
         assert_eq!(a.evals_used, c.evals_used);
@@ -505,8 +536,7 @@ mod tests {
             explore: 10,
             ..HuntConfig::default()
         };
-        let mut ev: Box<Evaluator<'_>> = Box::new(|t: &str, p: &[(u64, u64)]| synthetic(t, p));
-        let out = run(&cfg, &s, &b, &mut *ev).expect("hunt runs");
+        let out = run(&cfg, &s, &b, &mut *per_family(synthetic)).expect("hunt runs");
         let baseline = out.trajectory[0].objective;
         assert!(
             out.best.score(cfg.objective) > baseline,
@@ -530,8 +560,7 @@ mod tests {
             explore: 8,
             ..HuntConfig::default()
         };
-        let mut ev: Box<Evaluator<'_>> = Box::new(|t: &str, p: &[(u64, u64)]| synthetic(t, p));
-        let out = run(&cfg, &s, &b, &mut *ev).expect("hunt runs");
+        let out = run(&cfg, &s, &b, &mut *per_family(synthetic)).expect("hunt runs");
         assert_eq!(out.evals_used, 1);
         assert_eq!(
             out.best.candidate.family,
@@ -586,8 +615,7 @@ mod tests {
             bisect: 24,
             ..HuntConfig::default()
         };
-        let mut ev: Box<Evaluator<'_>> = Box::new(|t: &str, p: &[(u64, u64)]| peaked(t, p));
-        let out = run(&cfg, &s, &b, &mut *ev).expect("hunt runs");
+        let out = run(&cfg, &s, &b, &mut *per_family(&peaked)).expect("hunt runs");
         assert!(out.bisect_evals > 0, "the pass must spend probes");
         let winner_at = out
             .best
@@ -603,8 +631,7 @@ mod tests {
             "bisection must beat every grid point: landed at {winner_at}"
         );
         // Deterministic: no RNG in the pass.
-        let mut ev2: Box<Evaluator<'_>> = Box::new(|t: &str, p: &[(u64, u64)]| peaked(t, p));
-        let out2 = run(&cfg, &s, &b, &mut *ev2).expect("hunt runs");
+        let out2 = run(&cfg, &s, &b, &mut *per_family(&peaked)).expect("hunt runs");
         assert_eq!(out.best.candidate, out2.best.candidate);
         assert_eq!(out.evals_used, out2.evals_used);
     }
@@ -614,8 +641,106 @@ mod tests {
         let (b, s) = (base(), space());
         let cfg = HuntConfig::default();
         let mut ev: Box<Evaluator<'_>> =
-            Box::new(|_: &str, _: &[(u64, u64)]| Err("backend down".into()));
+            Box::new(|round: &[Family]| round.iter().map(|_| Err("backend down".into())).collect());
         let err = run(&cfg, &s, &b, &mut *ev).unwrap_err();
         assert!(err.contains("backend down"));
+    }
+
+    #[test]
+    fn exploration_reaches_the_evaluator_as_one_round_in_family_order() {
+        let (b, s) = (base(), space());
+        let cfg = HuntConfig {
+            seed: 5,
+            evals: 30,
+            explore: 12,
+            ..HuntConfig::default()
+        };
+        let mut rounds: Vec<Vec<Family>> = Vec::new();
+        let mut ev: Box<Evaluator<'_>> = Box::new(|round: &[Family]| {
+            rounds.push(round.to_vec());
+            round.iter().map(|(t, p)| synthetic(t, p)).collect()
+        });
+        run(&cfg, &s, &b, &mut *ev).expect("hunt runs");
+        drop(ev);
+        let explore = &rounds[0];
+        assert!(explore.len() > 1, "exploration spans several families");
+        assert_eq!(
+            explore.iter().map(|(_, p)| p.len()).sum::<usize>(),
+            cfg.explore
+        );
+        assert!(
+            explore.windows(2).all(|w| w[0].0 < w[1].0),
+            "families arrive in strict lexicographic order"
+        );
+    }
+
+    #[test]
+    fn misshapen_evaluator_answers_are_clean_errors() {
+        let (b, s) = (base(), space());
+        let cfg = HuntConfig::default();
+        let mut short: Box<Evaluator<'_>> = Box::new(|round: &[Family]| {
+            let mut out: Vec<_> = round.iter().map(|(t, p)| synthetic(t, p)).collect();
+            out.pop();
+            out
+        });
+        let err = run(&cfg, &s, &b, &mut *short).unwrap_err();
+        assert!(err.contains("families"), "{err}");
+
+        let mut extra: Box<Evaluator<'_>> = Box::new(|round: &[Family]| {
+            round
+                .iter()
+                .map(|(t, p)| {
+                    let mut m = synthetic(t, p)?;
+                    m.push(m[0]);
+                    Ok(m)
+                })
+                .collect()
+        });
+        let err = run(&cfg, &s, &b, &mut *extra).unwrap_err();
+        assert!(err.contains("points"), "{err}");
+    }
+
+    /// Evaluates a round on the sweep pool, with later families
+    /// finishing first.
+    fn reversed(
+        round: &[Family],
+        f: impl Fn(usize, &str, &[(u64, u64)]) -> Result<Vec<Measured>, String> + Sync,
+    ) -> Vec<Result<Vec<Measured>, String>> {
+        let n = round.len() as u64;
+        let jobs: Vec<(usize, &Family)> = round.iter().enumerate().collect();
+        fgqos_bench::sweep::run_parallel(jobs, |(i, (t, p))| {
+            std::thread::sleep(std::time::Duration::from_micros((n - i as u64) * 300));
+            f(i, t, p)
+        })
+    }
+
+    #[test]
+    fn the_first_failed_family_in_round_order_is_the_error() {
+        let (b, s) = (base(), space());
+        let cfg = HuntConfig::default();
+        let mut ev: Box<Evaluator<'_>> = Box::new(|round: &[Family]| {
+            let last = round.len() - 1;
+            reversed(round, |i, t, p| match i {
+                1 => Err("family 1 failed".into()),
+                i if i == last => Err("last family failed".into()),
+                _ => synthetic(t, p),
+            })
+        });
+        let err = run(&cfg, &s, &b, &mut *ev).unwrap_err();
+        assert_eq!(err, "family 1 failed");
+    }
+
+    #[test]
+    fn finishing_order_does_not_change_the_outcome() {
+        let (b, s) = (base(), space());
+        let cfg = HuntConfig {
+            seed: 11,
+            ..HuntConfig::default()
+        };
+        let immediate = run(&cfg, &s, &b, &mut *per_family(synthetic)).expect("hunt runs");
+        let mut slow: Box<Evaluator<'_>> =
+            Box::new(|round: &[Family]| reversed(round, |_, t, p| synthetic(t, p)));
+        let shuffled = run(&cfg, &s, &b, &mut *slow).expect("hunt runs");
+        assert_eq!(format!("{immediate:?}"), format!("{shuffled:?}"));
     }
 }

@@ -15,10 +15,11 @@
 //!
 //! The crate is deliberately **parser- and transport-ignorant**. It
 //! renders candidate scenarios as `.fgq` text overlays appended to a
-//! base scenario ([`space`]), and it evaluates them through an injected
-//! closure — the `fgqos` umbrella wires that closure to either the
-//! in-process `batch_reports` pool or a running `fgqos serve`
-//! instance's `submit_batch` lanes. This keeps the dependency graph
+//! base scenario ([`space`]), and it evaluates them one round at a time
+//! through an injected closure — the `fgqos` umbrella wires that closure
+//! to either the in-process `batch_reports` pool or a running
+//! `fgqos serve` instance's `submit_batch` lanes, and both run a round's
+//! families concurrently. This keeps the dependency graph
 //! acyclic (the scenario parser lives above this crate) and makes the
 //! engine trivially testable with synthetic evaluators.
 //!
@@ -26,7 +27,7 @@
 //!
 //! Every random decision derives from one declared seed through
 //! [`fgqos_bench::rng::XorShift64Star`] split streams, candidate
-//! batches are grouped and iterated in lexicographic family order, and
+//! batches are grouped and consumed in lexicographic family order, and
 //! ties in the ranking are broken by candidate identity — so
 //! `fgqos hunt --seed N` is byte-reproducible, and the winning
 //! candidate re-runs bit-identically from the emitted `.fgq` (see

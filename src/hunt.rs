@@ -6,8 +6,8 @@
 //! [`ScenarioSpec`] (the critical master, legal fault targets, reserved
 //! names), derives the [`SearchSpace`] from the scenario and the DRAM
 //! geometry (bank-hammering strides, on/off-footprint bases), evaluates
-//! candidate batches either in-process through
-//! [`batch_reports`] or against a running
+//! each round's candidate families concurrently, either in-process
+//! through [`batch_reports`] on the sweep pool or against a running
 //! `fgqos serve` instance, computes the analytic bound of the winning
 //! configuration via [`fgqos_core::analysis`], and verifies that the
 //! emitted winner `.fgq` replays the winning measurement bit for bit.
@@ -15,11 +15,11 @@
 use crate::runner::{assertion_outcome, batch_reports, scenario_report, RunOptions};
 use crate::scenario::{FaultEvent, PhaseOp, Role, ScenarioSpec, Workload};
 use fgqos_bench::report::{Block, Report};
+use fgqos_bench::sweep;
 use fgqos_core::analysis::{PortModel, SystemModel};
+use fgqos_hunt::engine::{self, Family};
 use fgqos_hunt::space::render_winner;
-use fgqos_hunt::{
-    engine, BaseInfo, BoundComparison, HuntConfig, HuntOutcome, Measured, SearchSpace,
-};
+use fgqos_hunt::{BaseInfo, BoundComparison, HuntConfig, HuntOutcome, Measured, SearchSpace};
 use fgqos_serve::client::{Client, SubmitOptions};
 use fgqos_serve::protocol::{BatchKind, BatchPoint, BatchSpec};
 use fgqos_sim::axi::{BEAT_BYTES, MAX_BURST_BEATS};
@@ -80,17 +80,13 @@ pub fn run_hunt(text: &str, opts: &HuntOptions) -> Result<HuntResult, String> {
 
     let outcome = match &opts.addr {
         None => {
-            let mut eval = |family: &str, points: &[(u64, u64)]| {
-                eval_local(family, points, opts, &critical, hz)
-            };
+            let mut eval = |round: &[Family]| eval_local(round, opts, &critical, hz);
             engine::run(&opts.config, &space, &base, &mut eval)?
         }
         Some(addr) => {
             let mut client =
                 Client::connect(addr.as_str()).map_err(|e| format!("hunt: connect {addr}: {e}"))?;
-            let mut eval = |family: &str, points: &[(u64, u64)]| {
-                eval_serve(&mut client, family, points, opts, &critical, hz)
-            };
+            let mut eval = |round: &[Family]| eval_serve(&mut client, round, opts, &critical, hz);
             engine::run(&opts.config, &space, &base, &mut eval)?
         }
     };
@@ -268,39 +264,54 @@ fn batch_spec(family: &str, points: &[(u64, u64)], opts: &HuntOptions) -> BatchS
     }
 }
 
+/// Evaluates a round's families concurrently on the sweep pool. Only
+/// the family text goes to a worker and only [`Measured`] comes back;
+/// each `Soc` stays on the worker that built it.
 fn eval_local(
-    family: &str,
-    points: &[(u64, u64)],
+    round: &[Family],
     opts: &HuntOptions,
     critical: &str,
     hz: u64,
-) -> Result<Vec<Measured>, String> {
-    let reports = batch_reports(&batch_spec(family, points, opts)).map_err(|e| e.to_string())?;
-    reports
-        .iter()
-        .map(|r| measured_from_point(r, critical, hz))
-        .collect()
+) -> Vec<Result<Vec<Measured>, String>> {
+    sweep::run_parallel(round.iter().collect(), |(family, points)| {
+        let reports =
+            batch_reports(&batch_spec(family, points, opts)).map_err(|e| e.to_string())?;
+        reports
+            .iter()
+            .map(|r| measured_from_point(r, critical, hz))
+            .collect()
+    })
 }
 
+/// Submits every family of a round before waiting for any report, so
+/// the server's lanes (or the fleet's workers) run them concurrently.
 fn eval_serve(
     client: &mut Client,
-    family: &str,
-    points: &[(u64, u64)],
+    round: &[Family],
     opts: &HuntOptions,
     critical: &str,
     hz: u64,
-) -> Result<Vec<Measured>, String> {
-    let ack = client
-        .submit_batch(&batch_spec(family, points, opts), &SubmitOptions::default())
-        .map_err(|e| format!("submit_batch: {e}"))?;
-    ack.jobs
+) -> Vec<Result<Vec<Measured>, String>> {
+    let acks: Vec<_> = round
         .iter()
-        .map(|&job| {
-            let doc = client
-                .wait_report(job, Duration::from_secs(300))
-                .map_err(|e| format!("job {job}: {e}"))?;
-            let report = Report::from_json(&doc)?;
-            measured_from_point(&report, critical, hz)
+        .map(|(family, points)| {
+            client
+                .submit_batch(&batch_spec(family, points, opts), &SubmitOptions::default())
+                .map_err(|e| format!("submit_batch: {e}"))
+        })
+        .collect();
+    acks.into_iter()
+        .map(|ack| {
+            ack?.jobs
+                .iter()
+                .map(|&job| {
+                    let doc = client
+                        .wait_report(job, Duration::from_secs(300))
+                        .map_err(|e| format!("job {job}: {e}"))?;
+                    let report = Report::from_json(&doc)?;
+                    measured_from_point(&report, critical, hz)
+                })
+                .collect()
         })
         .collect()
 }
@@ -564,14 +575,11 @@ mod tests {
     #[test]
     fn local_evaluator_measures_the_critical_row() {
         let opts = tiny_opts();
-        let ms = eval_local(
-            BASE,
-            &[(1_000, 1_024), (500, 65_536)],
-            &opts,
-            "cpu",
-            1_000_000_000,
-        )
-        .unwrap();
+        let round = [(BASE.to_string(), vec![(1_000, 1_024), (500, 65_536)])];
+        let ms = eval_local(&round, &opts, "cpu", 1_000_000_000)
+            .pop()
+            .unwrap()
+            .unwrap();
         assert_eq!(ms.len(), 2);
         for m in &ms {
             assert!(m.boundary >= opts.warmup);
@@ -675,7 +683,10 @@ mod tests {
         let h = run_hunt(include_str!("../scenarios/rogue-dma.fgq"), &opts).unwrap();
         assert!(h.replay_verified, "{}", h.winner_fgq);
         let actual = format!("{}\n", h.report.to_pretty());
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/hunt_rogue_dma.json");
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/hunt_rogue_dma.json"
+        );
         if std::env::var_os("FGQOS_BLESS").is_some() {
             std::fs::write(path, &actual).unwrap();
             return;
