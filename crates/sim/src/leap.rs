@@ -245,6 +245,14 @@ impl LeapState {
     }
 }
 
+impl LeapState {
+    /// Drops the recurrence records, keeping the telemetry.
+    pub(crate) fn forget_history(&mut self) {
+        self.table = Vec::new();
+        self.brent = None;
+    }
+}
+
 impl std::fmt::Debug for LeapState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LeapState")

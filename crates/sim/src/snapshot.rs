@@ -131,7 +131,7 @@ impl Soc {
     ///
     /// [`SnapshotError::NotQuiesced`] when transactions are in flight;
     /// [`SnapshotError::Unforkable`] when a component cannot be forked.
-    pub fn snapshot(self) -> Result<SocSnapshot, SnapshotError> {
+    pub fn snapshot(mut self) -> Result<SocSnapshot, SnapshotError> {
         if !self.is_quiesced() {
             return Err(SnapshotError::NotQuiesced {
                 live_txns: self.arena.live(),
@@ -141,6 +141,10 @@ impl Soc {
         let mut probe = ForkCtx::new();
         self.fork_with(&mut probe)?;
         let fingerprint = self.fingerprint();
+        // Forks start leap detection fresh, so the captured Soc's
+        // recurrence records are dead weight for as long as the
+        // snapshot lives.
+        self.leap.forget_history();
         Ok(SocSnapshot {
             soc: self,
             fingerprint,

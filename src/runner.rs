@@ -564,6 +564,9 @@ pub fn batch_reports_with_store(
         }
     }
     let key = warm_boundary_key(&spec.scenario, spec.warmup, probe.is_naive());
+    // Every point below builds its own Soc; the probe need not stay
+    // resident beside them.
+    drop(probe);
     // A blob that fails to decode or load (stale format, wrong recipe)
     // is a miss: fall through and re-warm.
     let restored = store
