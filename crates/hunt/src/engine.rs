@@ -444,6 +444,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::space::{FamilySpec, SearchSpace};
+    use std::sync::{mpsc, Mutex};
 
     fn base() -> BaseInfo {
         BaseInfo {
@@ -615,7 +616,7 @@ mod tests {
             bisect: 24,
             ..HuntConfig::default()
         };
-        let out = run(&cfg, &s, &b, &mut *per_family(&peaked)).expect("hunt runs");
+        let out = run(&cfg, &s, &b, &mut *per_family(peaked)).expect("hunt runs");
         assert!(out.bisect_evals > 0, "the pass must spend probes");
         let winner_at = out
             .best
@@ -631,7 +632,7 @@ mod tests {
             "bisection must beat every grid point: landed at {winner_at}"
         );
         // Deterministic: no RNG in the pass.
-        let out2 = run(&cfg, &s, &b, &mut *per_family(&peaked)).expect("hunt runs");
+        let out2 = run(&cfg, &s, &b, &mut *per_family(peaked)).expect("hunt runs");
         assert_eq!(out.best.candidate, out2.best.candidate);
         assert_eq!(out.evals_used, out2.evals_used);
     }
@@ -700,17 +701,41 @@ mod tests {
         assert!(err.contains("points"), "{err}");
     }
 
-    /// Evaluates a round on the sweep pool, with later families
-    /// finishing first.
+    /// Evaluates a round on one thread per family. Each family starts
+    /// only once the family after it has finished, so results complete
+    /// in reverse round order; that order is appended to `finished`.
     fn reversed(
         round: &[Family],
+        finished: &Mutex<Vec<usize>>,
         f: impl Fn(usize, &str, &[(u64, u64)]) -> Result<Vec<Measured>, String> + Sync,
     ) -> Vec<Result<Vec<Measured>, String>> {
-        let n = round.len() as u64;
-        let jobs: Vec<(usize, &Family)> = round.iter().enumerate().collect();
-        fgqos_bench::sweep::run_parallel(jobs, |(i, (t, p))| {
-            std::thread::sleep(std::time::Duration::from_micros((n - i as u64) * 300));
-            f(i, t, p)
+        let f = &f;
+        std::thread::scope(|scope| {
+            let mut after: Option<mpsc::Receiver<()>> = None;
+            let mut workers: Vec<_> = round
+                .iter()
+                .enumerate()
+                .rev()
+                .map(|(i, (t, p))| {
+                    let (done, next) = mpsc::channel();
+                    let wait = after.replace(next);
+                    scope.spawn(move || {
+                        if let Some(wait) = wait {
+                            wait.recv().expect("the later family reports");
+                        }
+                        let result = f(i, t, p);
+                        finished.lock().expect("order log").push(i);
+                        // The receiver is gone for the first family.
+                        let _ = done.send(());
+                        result
+                    })
+                })
+                .collect();
+            workers.reverse();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("family worker"))
+                .collect()
         })
     }
 
@@ -718,16 +743,24 @@ mod tests {
     fn the_first_failed_family_in_round_order_is_the_error() {
         let (b, s) = (base(), space());
         let cfg = HuntConfig::default();
+        let finished = Mutex::new(Vec::new());
         let mut ev: Box<Evaluator<'_>> = Box::new(|round: &[Family]| {
             let last = round.len() - 1;
-            reversed(round, |i, t, p| match i {
+            reversed(round, &finished, |i, t, p| match i {
                 1 => Err("family 1 failed".into()),
                 i if i == last => Err("last family failed".into()),
                 _ => synthetic(t, p),
             })
         });
         let err = run(&cfg, &s, &b, &mut *ev).unwrap_err();
+        drop(ev);
         assert_eq!(err, "family 1 failed");
+        let finished = finished.into_inner().unwrap();
+        assert!(finished.len() > 2, "exploration spans several families");
+        assert!(
+            finished.windows(2).all(|w| w[0] > w[1]),
+            "last family finished first"
+        );
     }
 
     #[test]
@@ -738,9 +771,10 @@ mod tests {
             ..HuntConfig::default()
         };
         let immediate = run(&cfg, &s, &b, &mut *per_family(synthetic)).expect("hunt runs");
-        let mut slow: Box<Evaluator<'_>> =
-            Box::new(|round: &[Family]| reversed(round, |_, t, p| synthetic(t, p)));
-        let shuffled = run(&cfg, &s, &b, &mut *slow).expect("hunt runs");
+        let finished = Mutex::new(Vec::new());
+        let mut backwards: Box<Evaluator<'_>> =
+            Box::new(|round: &[Family]| reversed(round, &finished, |_, t, p| synthetic(t, p)));
+        let shuffled = run(&cfg, &s, &b, &mut *backwards).expect("hunt runs");
         assert_eq!(format!("{immediate:?}"), format!("{shuffled:?}"));
     }
 }

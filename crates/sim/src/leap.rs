@@ -243,13 +243,17 @@ impl LeapState {
             leaps: 0,
         }
     }
-}
 
-impl LeapState {
     /// Drops the recurrence records, keeping the telemetry.
     pub(crate) fn forget_history(&mut self) {
         self.table = Vec::new();
         self.brent = None;
+    }
+
+    /// Recurrence records held (FIFO table plus Brent anchor).
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> usize {
+        self.table.len() + usize::from(self.brent.is_some())
     }
 }
 

@@ -426,6 +426,18 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_drops_leap_records_and_keeps_telemetry() {
+        let mut soc = two_master_soc();
+        soc.run(20_000);
+        soc.quiesce_point(10_000_000).expect("drains");
+        assert!(soc.leap.records() > 0, "the warm run recorded boundaries");
+        let telemetry = soc.leap_telemetry();
+        let snap = soc.snapshot().expect("quiesced");
+        assert_eq!(snap.soc.leap.records(), 0);
+        assert_eq!(snap.soc.leap_telemetry(), telemetry);
+    }
+
+    #[test]
     fn snapshot_rejects_in_flight_state() {
         let mut soc = SocBuilder::new(cfg())
             .master(

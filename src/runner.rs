@@ -564,8 +564,8 @@ pub fn batch_reports_with_store(
         }
     }
     let key = warm_boundary_key(&spec.scenario, spec.warmup, probe.is_naive());
-    // Every point below builds its own Soc; the probe need not stay
-    // resident beside them.
+    // Not needed past the key: don't keep it resident beside the warm
+    // boundary and its forks.
     drop(probe);
     // A blob that fails to decode or load (stale format, wrong recipe)
     // is a miss: fall through and re-warm.
