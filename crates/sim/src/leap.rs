@@ -11,7 +11,7 @@
 //! # How a leap is proven legal
 //!
 //! 1. At an eligible boundary the full snapshot stream is captured
-//!    through [`StateHasher::typed_recording`] and keyed by its
+//!    through [`fgqos_snap::StateHasher::typed_recording`] and keyed by its
 //!    [`TypedSnapshot::rebased_key`] — a fingerprint invariant under
 //!    time translation (cycle stamps rebased to the boundary, counter
 //!    values excluded) plus the per-component pending-wake structure.
@@ -43,7 +43,7 @@
 use crate::calendar::NEVER;
 use crate::system::Soc;
 use crate::time::Cycle;
-use fgqos_snap::{StateHasher, TypedSnapshot};
+use fgqos_snap::TypedSnapshot;
 
 /// Minimum cycles between fingerprinted boundaries: throttles hashing
 /// so short quiesce/wake oscillations cost nothing.
@@ -332,9 +332,7 @@ impl Soc {
             self.leap.brent = None;
             return false;
         };
-        let mut h = StateHasher::typed_recording();
-        self.snap(&mut h);
-        let record = h.take_typed();
+        let record = self.typed_state();
         let key = record.rebased_key(now.get(), &self.wake_offsets(now));
         self.leap.last_boundary = now.get();
 

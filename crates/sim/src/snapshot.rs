@@ -33,7 +33,9 @@
 
 use crate::system::Soc;
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, SnapshotBlob, SnapshotError, StateHasher};
+use fgqos_snap::{
+    ForkCtx, SnapDecodeError, SnapReader, SnapshotBlob, SnapshotError, StateHasher, TypedSnapshot,
+};
 
 /// Version of the snapshot fingerprint stream. Bumped whenever the
 /// encoding or the component traversal order changes; folded into every
@@ -54,6 +56,15 @@ impl Soc {
         let mut h = StateHasher::new();
         self.snap(&mut h);
         h.finish()
+    }
+
+    /// Records the full state stream together with its typed field map
+    /// (the record the leap engine keys and advances; see
+    /// [`fgqos_snap::TypedSnapshot`]).
+    pub fn typed_state(&mut self) -> TypedSnapshot {
+        let mut h = StateHasher::typed_recording();
+        self.snap(&mut h);
+        h.take_typed()
     }
 
     /// Feeds the full architectural state into `h` (the fingerprint

@@ -282,6 +282,58 @@ fn snapshot_from_leaped_run_matches_cold_run() {
 /// Components that cannot prove time-translation safety (here: a
 /// request trace) structurally deny leaping — the engine disarms and
 /// the run degrades gracefully to the plain calendar.
+/// The two-master periodic shape of the `steady_periodic` benchmark,
+/// as scenario text: each master reads 256 B sequentially in a 4K
+/// footprint under a 1024 B / 1950-cycle budget. Unlike the builder
+/// SoCs above, this machine is made by the scenario builder, so it
+/// leaps through `SpecSource`s, fabric best-effort ports, the scenario
+/// program and DRAM refresh.
+const PERIODIC_FGQ: &str = "clock_mhz 1000\n\
+\n[master m0]\nkind accel\nrole best-effort\nperiod 1950\nbudget 1024\n\
+pattern seq\nbase 0x10000000\nfootprint 4K\ntxn 256\ndir read\n\
+\n[master m1]\nkind accel\nrole best-effort\nperiod 1950\nbudget 1024\n\
+pattern seq\nbase 0x20000000\nfootprint 4K\ntxn 256\ndir read\n";
+
+fn build_periodic_scenario() -> Soc {
+    fgqos::scenario::ScenarioSpec::parse(PERIODIC_FGQ)
+        .expect("periodic shape parses")
+        .build()
+        .0
+}
+
+/// A scenario-built periodic machine leaps over almost its whole
+/// horizon, and a leaped run's statistics equal a cycle-by-cycle run's.
+/// A snapshot field typed wrongly (a plain word where a cycle stamp
+/// belongs) stops every recurrence from verifying, which this test
+/// reports at once.
+#[test]
+fn scenario_periodic_shape_leaps() {
+    const LONG: u64 = 100_000_000;
+    let mut long = build_periodic_scenario();
+    long.run(LONG);
+    let t = long.leap_telemetry();
+    assert!(
+        t.cycles_skipped >= LONG / 100 * 99,
+        "skipped only {} of {LONG} cycles",
+        t.cycles_skipped
+    );
+
+    const SHORT: u64 = 2_000_000;
+    let mut leaped = build_periodic_scenario();
+    leaped.run(SHORT);
+    assert!(
+        leaped.leap_telemetry().cycles_skipped >= SHORT / 100 * 80,
+        "one leap should already skip most of the short horizon: {:?}",
+        leaped.leap_telemetry()
+    );
+    let mut plain = build_periodic_scenario();
+    plain.set_leap(false);
+    plain.run(SHORT);
+    assert_eq!(plain.leap_telemetry().leaps, 0);
+    assert_eq!(leaped.now(), plain.now());
+    assert_eq!(stats_fingerprint(&leaped), stats_fingerprint(&plain));
+}
+
 #[test]
 fn unsupported_components_disarm_the_engine() {
     let spec = TrafficSpec {

@@ -740,3 +740,267 @@ fn blob_refuses_a_mismatched_skeleton() {
         .expect_err("mismatched skeleton must be rejected");
     assert!(!err.to_string().is_empty());
 }
+
+// ---------------------------------------------------------------------
+// Stream golden: the exact bytes and typed field map of every component
+// ---------------------------------------------------------------------
+
+/// Cycle every stream-golden source is recorded at.
+const GOLDEN_CYCLE: u64 = 50_000;
+/// Bound of the quiesce search after [`GOLDEN_CYCLE`]; sources whose
+/// traffic never drains within it pin no quiesced boundary.
+const GOLDEN_QUIESCE_BOUND: u64 = 200_000;
+
+fn scenario_path(name: &str) -> String {
+    format!("{}/scenarios/{name}.fgq", env!("CARGO_MANIFEST_DIR"))
+}
+
+fn build_shipped(name: &str) -> Soc {
+    let text = fgqos::scenario::load_scenario_text(&scenario_path(name)).expect("scenario loads");
+    fgqos::scenario::ScenarioSpec::parse(&text)
+        .expect("scenario parses")
+        .build()
+        .0
+}
+
+const SHIPPED: [&str; 9] = [
+    "controller-crash",
+    "demo",
+    "kernels",
+    "matrix-base",
+    "matrix-tight",
+    "ramp",
+    "refresh-storm",
+    "regulator-dropout",
+    "rogue-dma",
+];
+
+/// Every loadable component no shipped scenario reaches: the baseline
+/// gates, the leaky bucket, trace and sequential sources, both policy
+/// controllers bound to TC-regulated ports, and per-window byte and
+/// latency recorders.
+fn build_component_soc() -> Soc {
+    let mut b = SocBuilder::new(SocConfig::default())
+        .record_windows_with_latency(5_000)
+        .gated_master(
+            "memguard",
+            SequentialSource::reads(0, 256, 400).with_gap(300),
+            MasterKind::Accelerator,
+            MemGuardGate::new(MemGuardConfig {
+                tick_cycles: 2_000,
+                budget_bytes: 2_048,
+                irq_latency_cycles: 40,
+            }),
+        )
+        .gated_master(
+            "tdma",
+            TraceSource::with_loops(
+                TraceSource::from_spec(
+                    TrafficSpec {
+                        gap: 150,
+                        ..TrafficSpec::stream(1 << 28, 1 << 20, 256, Dir::Write)
+                    }
+                    .with_total(40),
+                    5,
+                    40,
+                )
+                .records()
+                .to_vec(),
+                3,
+            ),
+            MasterKind::Accelerator,
+            TdmaGate::new(TdmaSchedule::new(500, 3), vec![1], 20),
+        )
+        .gated_master(
+            "ot",
+            SequentialSource::writes(2 << 28, 512, 300).with_gap(200),
+            MasterKind::Accelerator,
+            OtRegulatorGate::new(OtRegulatorConfig {
+                max_outstanding: 2,
+                txns_per_period: 3,
+                period_cycles: 1_500,
+            }),
+        )
+        .gated_master(
+            "bucket",
+            SequentialSource::reads(3 << 28, 128, 500)
+                .with_think_time(90)
+                .with_footprint(64 << 10),
+            MasterKind::Cpu,
+            LeakyBucketRegulator::new(BucketConfig {
+                budget_bytes: 1_024,
+                period_cycles: 700,
+                depth_bytes: 2_048,
+                ..BucketConfig::default()
+            }),
+        );
+    let mut drivers = Vec::new();
+    for (i, name) in ["critical", "be"].into_iter().enumerate() {
+        let (reg, driver) = TcRegulator::create(RegulatorConfig {
+            period_cycles: 1_000,
+            budget_bytes: 4_096,
+            enabled: true,
+            ..RegulatorConfig::default()
+        });
+        let spec = TrafficSpec {
+            gap: 120,
+            ..TrafficSpec::stream((4 + i as u64) << 28, 1 << 20, 256, Dir::Read)
+        }
+        .with_total(300);
+        b = b.gated_master(
+            name,
+            SpecSource::new(spec, 17 + i as u64),
+            MasterKind::Accelerator,
+            reg,
+        );
+        drivers.push(driver);
+    }
+    b.controller(StaticPartition::new(vec![PortBudget {
+        driver: drivers[1].clone(),
+        period_cycles: 1_000,
+        budget_bytes: 3_072,
+    }]))
+    .controller(FeedbackController::new(
+        drivers[0].clone(),
+        1_000,
+        vec![drivers[1].clone()],
+        2_048,
+        256,
+        8_192,
+        256,
+        5_000,
+    ))
+    .build()
+}
+
+/// A shared-budget group: its gates write state but refuse to load.
+fn build_shared_budget_soc() -> Soc {
+    let group = SharedRegulator::new(1_000, 4_096);
+    let mut b = SocBuilder::new(SocConfig::default());
+    for i in 0..2u64 {
+        b = b.gated_master(
+            format!("shared{i}"),
+            SequentialSource::reads(i << 28, 256, 300).with_gap(150),
+            MasterKind::Accelerator,
+            group.port_gate(),
+        );
+    }
+    b.build()
+}
+
+/// A cached CPU: its source writes state but refuses to load.
+fn build_cached_soc() -> Soc {
+    SocBuilder::new(SocConfig::default())
+        .master(
+            "cached",
+            CachedSource::new(
+                SequentialSource::reads(2 << 28, 64, 2_000)
+                    .with_gap(20)
+                    .with_footprint(256 << 10),
+                CacheConfig::default(),
+            ),
+            MasterKind::Cpu,
+        )
+        .build()
+}
+
+/// `(stream length, stream hash, field-map hash)` of a typed record.
+fn stream_pins(record: &fgqos::sim::TypedSnapshot) -> (usize, String, String) {
+    let mut map = Vec::with_capacity(record.fields.len() * 17);
+    for f in &record.fields {
+        map.push(f.kind as u8);
+        map.extend_from_slice(&(f.offset as u64).to_le_bytes());
+        map.extend_from_slice(&(f.len as u64).to_le_bytes());
+    }
+    (
+        record.bytes.len(),
+        SnapshotBlob::content_key(&record.bytes),
+        SnapshotBlob::content_key(&map),
+    )
+}
+
+/// One golden line: the stream at [`GOLDEN_CYCLE`], then — when the
+/// source drains — the stream at its quiesced boundary and the outcome
+/// of loading that stream into a fresh skeleton.
+fn stream_golden_entry(name: &str, build: &dyn Fn() -> Soc) -> String {
+    let mut soc = build();
+    soc.run(GOLDEN_CYCLE);
+    let (len, stream, fields) = stream_pins(&soc.typed_state());
+    let mut line = format!(
+        "  {name:?}: {{\"cycle\": {GOLDEN_CYCLE}, \"len\": {len}, \"stream\": \"{stream}\", \
+         \"fields\": \"{fields}\""
+    );
+    let Some(at) = soc.quiesce_point(GOLDEN_QUIESCE_BOUND) else {
+        return line + "}";
+    };
+    let record = soc.typed_state();
+    let (len, stream, fields) = stream_pins(&record);
+    let mut skeleton = build();
+    let load = match skeleton.load_state(&record.bytes) {
+        Ok(()) => {
+            let again = skeleton.typed_state();
+            assert_eq!(
+                again.bytes, record.bytes,
+                "{name}: loaded state re-records different bytes"
+            );
+            assert_eq!(
+                again.fields, record.fields,
+                "{name}: loaded state re-records a different field map"
+            );
+            "roundtrip".to_string()
+        }
+        Err(SnapDecodeError::Unsupported { component }) => format!("unsupported {component}"),
+        Err(e) => panic!("{name}: stream refused by its own skeleton: {e}"),
+    };
+    line += &format!(
+        ", \"quiesced\": {{\"cycle\": {}, \"len\": {len}, \"stream\": \"{stream}\", \
+         \"fields\": \"{fields}\", \"load\": \"{load}\"}}}}",
+        at.get()
+    );
+    line
+}
+
+/// Pins the exact snapshot stream of every shipped scenario and of
+/// builder-made SoCs carrying the components no scenario reaches: its
+/// length, its FNV-1a hash and the hash of its typed field map (kind,
+/// offset and length of every cycle and counter span). Where the
+/// source drains to a quiesced boundary, the stream there must also
+/// load into a fresh skeleton and re-record byte for byte (or be
+/// refused as unsupported, which is pinned too). Regenerate with
+/// `FGQOS_BLESS=1 cargo test --test snapshot` only after an intentional
+/// stream change, which also bumps `SNAPSHOT_VERSION`.
+#[test]
+fn snapshot_streams_match_golden() {
+    let mut entries: Vec<String> = SHIPPED
+        .iter()
+        .map(|&name| stream_golden_entry(name, &|| build_shipped(name)))
+        .collect();
+    entries.push(stream_golden_entry(
+        "builder-components",
+        &build_component_soc,
+    ));
+    entries.push(stream_golden_entry(
+        "builder-shared-budget",
+        &build_shared_budget_soc,
+    ));
+    entries.push(stream_golden_entry("builder-cached", &build_cached_soc));
+    let actual = format!("{{\n{}\n}}\n", entries.join(",\n"));
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("snapshot_streams.json");
+    if std::env::var_os("FGQOS_BLESS").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); run with FGQOS_BLESS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "snapshot streams drifted; rerun with FGQOS_BLESS=1 and review the diff"
+    );
+}
