@@ -15,7 +15,7 @@
 use fgqos_sim::axi::{Request, Response};
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 
 /// Configuration of an [`OtRegulatorGate`].
 #[derive(Debug, Clone, Copy)]
@@ -169,63 +169,16 @@ impl PortGate for OtRegulatorGate {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("qos400-ot");
-        h.write_usize(self.cfg.max_outstanding);
-        h.write_u32(self.cfg.txns_per_period);
-        h.write_u64(self.cfg.period_cycles);
-        h.write_usize(self.in_flight);
-        h.write_u64(self.window_start.get());
-        h.write_u32(self.window_txns);
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.accepted);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("qos400-ot")?;
-        let at = r.position();
-        let cap = r.read_usize("qos400 max_outstanding")?;
-        if cap != self.cfg.max_outstanding {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "qos400 outstanding cap {cap} in stream, skeleton has {}",
-                    self.cfg.max_outstanding
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let rate = r.read_u32("qos400 txns_per_period")?;
-        if rate != self.cfg.txns_per_period {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "qos400 rate {rate} txns/period in stream, skeleton has {}",
-                    self.cfg.txns_per_period
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let period = r.read_u64("qos400 period_cycles")?;
-        if period != self.cfg.period_cycles {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "qos400 period {period} in stream, skeleton has {}",
-                    self.cfg.period_cycles
-                ),
-                at,
-            });
-        }
-        self.in_flight = r.read_usize("qos400 in_flight")?;
-        self.window_start = Cycle::new(r.read_u64("qos400 window_start")?);
-        self.window_txns = r.read_u32("qos400 window_txns")?;
-        self.stall_cycles = r.read_u64("qos400 stall_cycles")?;
-        self.accepted = r.read_u64("qos400 accepted")?;
-        Ok(())
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("qos400-ot")?;
+        io.fixed_usize(self.cfg.max_outstanding, "qos400 max_outstanding")?;
+        io.fixed_u32(self.cfg.txns_per_period, "qos400 txns_per_period")?;
+        io.fixed_u64(self.cfg.period_cycles, "qos400 period_cycles")?;
+        io.usize(&mut self.in_flight)?;
+        io.u64(&mut self.window_start)?;
+        io.u32(&mut self.window_txns)?;
+        io.u64(&mut self.stall_cycles)?;
+        io.u64(&mut self.accepted)
     }
 }
 

@@ -107,12 +107,7 @@ impl XorShift64Star {
     /// discipline). Equal `(parent seed, label)` always yields the same
     /// child; different labels decorrelate.
     pub fn split(&self, label: &str) -> XorShift64Star {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325; // FNV-1a offset basis
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        XorShift64Star::new(self.state ^ h)
+        XorShift64Star::new(self.state ^ fgqos_sim::fnv64(label.as_bytes()))
     }
 }
 

@@ -13,7 +13,7 @@
 use crate::regfile::{Reg, RegFile};
 use fgqos_sim::axi::Dir;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 use std::sync::Arc;
 
 /// Per-window byte/transaction accounting synced into a register file.
@@ -185,63 +185,33 @@ impl WindowMonitor {
         }
     }
 
-    /// Feeds the monitor state (latched period, open-window counters,
-    /// lifetime totals) into a snapshot fingerprint stream. The register
-    /// block itself is hashed by the owning gate.
-    pub(crate) fn snap(&self, h: &mut StateHasher) {
-        h.section("window-monitor");
-        h.write_cycle(self.window_start.get());
-        h.write_u64(self.period);
-        // Open-window counters stay plain: a steady-state period always
-        // spans whole windows, so they recur exactly at the boundary.
-        h.write_u64(self.win_bytes);
-        h.write_u64(self.win_rd_bytes);
-        h.write_u64(self.win_wr_bytes);
-        h.write_u64(self.win_txns);
-        h.write_counter_u64(self.total_bytes);
-        h.write_counter_u64(self.total_txns);
-        h.write_counter_u64(self.windows);
-        h.write_u64(self.max_overshoot);
-        // The stream's log-flag byte, always clear: keeping it keeps
-        // blob bytes and fingerprints unchanged.
-        h.write_bool(false);
-    }
-
-    /// Restores the monitor state from a serialized snapshot stream (the
-    /// decode mirror of [`WindowMonitor::snap`]). The register block is
-    /// restored separately by the owning gate.
+    /// Walks the monitor state (latched period, open-window counters,
+    /// lifetime totals) through a snapshot stream. The register block
+    /// itself belongs to the owning gate.
     ///
     /// # Errors
     ///
-    /// Any [`fgqos_sim::SnapDecodeError`] aborts the whole load; a set
+    /// When reading, any [`SnapDecodeError`] aborts the whole load; a set
     /// log flag (a stream from a monitor that kept a per-window log) is
-    /// a [`fgqos_sim::SnapDecodeError::BadValue`].
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("window-monitor")?;
-        self.window_start = Cycle::new(r.read_u64("window-monitor window_start")?);
-        self.period = r.read_u64("window-monitor period")?;
-        self.win_bytes = r.read_u64("window-monitor win_bytes")?;
-        self.win_rd_bytes = r.read_u64("window-monitor win_rd_bytes")?;
-        self.win_wr_bytes = r.read_u64("window-monitor win_wr_bytes")?;
-        self.win_txns = r.read_u64("window-monitor win_txns")?;
-        self.total_bytes = r.read_u64("window-monitor total_bytes")?;
-        self.total_txns = r.read_u64("window-monitor total_txns")?;
-        self.windows = r.read_u64("window-monitor windows")?;
-        self.max_overshoot = r.read_u64("window-monitor max_overshoot")?;
-        let at = r.position();
-        if r.read_bool("window-monitor log flag")? {
-            return Err(SnapDecodeError::BadValue {
-                what: "window-monitor log flag is set; per-window logs are not supported".into(),
-                at,
-            });
-        }
-        Ok(())
+    /// a [`SnapDecodeError::BadValue`].
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("window-monitor")?;
+        io.cycle(&mut self.window_start)?;
+        io.u64(&mut self.period)?;
+        // Open-window counters stay plain: a steady-state period always
+        // spans whole windows, so they recur exactly at the boundary.
+        io.u64(&mut self.win_bytes)?;
+        io.u64(&mut self.win_rd_bytes)?;
+        io.u64(&mut self.win_wr_bytes)?;
+        io.u64(&mut self.win_txns)?;
+        io.counter_u64(&mut self.total_bytes)?;
+        io.counter_u64(&mut self.total_txns)?;
+        io.counter_u64(&mut self.windows)?;
+        io.u64(&mut self.max_overshoot)?;
+        // The stream's log-flag byte, always clear: keeping it keeps
+        // blob bytes and fingerprints unchanged.
+        io.fixed_bool(false, "window-monitor log flag")
     }
-
     /// Clears all telemetry and restarts the open window at `now`.
     pub fn reset(&mut self, now: Cycle) {
         self.win_bytes = 0;
@@ -350,20 +320,19 @@ mod tests {
 
     #[test]
     fn snapshot_stream_round_trips_and_rejects_a_set_log_flag() {
-        use fgqos_sim::{SnapDecodeError, SnapReader};
         let regs = RegFile::shared();
         regs.sw_write(Reg::Period, 10);
         let mut m = WindowMonitor::new(Arc::clone(&regs));
         m.record(50);
-        let mut h = StateHasher::recording();
-        m.snap(&mut h);
-        let mut bytes = h.take_bytes();
+        let mut io = StateIo::recording();
+        m.state(&mut io).unwrap();
+        let mut bytes = io.into_hasher().take_bytes();
         let mut back = WindowMonitor::new(RegFile::shared());
-        back.snap_load(&mut SnapReader::new(&bytes)).unwrap();
+        back.state(&mut StateIo::reading(&bytes)).unwrap();
         assert_eq!(back.win_bytes(), 50);
         // The log flag is the stream's last byte.
         *bytes.last_mut().unwrap() = 1;
-        let e = back.snap_load(&mut SnapReader::new(&bytes)).unwrap_err();
+        let e = back.state(&mut StateIo::reading(&bytes)).unwrap_err();
         assert!(matches!(e, SnapDecodeError::BadValue { .. }), "{e:?}");
     }
 

@@ -19,7 +19,7 @@
 use crate::driver::RegulatorDriver;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 
 /// One port assignment for [`StaticPartition`].
 #[derive(Debug, Clone)]
@@ -89,50 +89,14 @@ impl Controller for StaticPartition {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("static-partition");
-        h.write_usize(self.ports.len());
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("static-partition")?;
+        io.fixed_usize(self.ports.len(), "static-partition port count")?;
         for p in &self.ports {
-            h.write_u32(p.period_cycles);
-            h.write_u32(p.budget_bytes);
+            io.fixed_u32(p.period_cycles, "static-partition period")?;
+            io.fixed_u32(p.budget_bytes, "static-partition budget")?;
         }
-        h.write_bool(self.programmed);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("static-partition")?;
-        let at = r.position();
-        let n = r.read_usize("static-partition port count")?;
-        if n != self.ports.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "static-partition has {n} port(s) in stream, skeleton has {}",
-                    self.ports.len()
-                ),
-                at,
-            });
-        }
-        for (i, p) in self.ports.iter_mut().enumerate() {
-            let at = r.position();
-            let period = r.read_u32("static-partition period")?;
-            let budget = r.read_u32("static-partition budget")?;
-            if period != p.period_cycles || budget != p.budget_bytes {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "static-partition port {i} plan ({period}, {budget}) in stream, \
-                         skeleton has ({}, {})",
-                        p.period_cycles, p.budget_bytes
-                    ),
-                    at,
-                });
-            }
-        }
-        self.programmed = r.read_bool("static-partition programmed")?;
-        Ok(())
+        io.bool(&mut self.programmed)
     }
 }
 
@@ -263,53 +227,17 @@ impl Controller for ReclaimPolicy {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("reclaim");
-        h.write_usize(self.best_effort.len());
-        h.write_u64(self.cfg.critical_reserved);
-        h.write_u64(self.cfg.be_base);
-        h.write_u64(self.cfg.control_period);
-        h.write_u64(self.cfg.gain);
-        match self.cfg.busy_threshold {
-            None => h.write_bool(false),
-            Some(t) => {
-                h.write_bool(true);
-                h.write_u64(t);
-            }
-        }
-        h.write_u64(self.next_at);
-        h.write_u64(self.last_crit_total);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("reclaim")?;
-        let at = r.position();
-        let n = r.read_usize("reclaim best-effort count")?;
-        if n != self.best_effort.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "reclaim has {n} best-effort port(s) in stream, skeleton has {}",
-                    self.best_effort.len()
-                ),
-                at,
-            });
-        }
-        self.cfg.critical_reserved = r.read_u64("reclaim critical_reserved")?;
-        self.cfg.be_base = r.read_u64("reclaim be_base")?;
-        self.cfg.control_period = r.read_u64("reclaim control_period")?;
-        self.cfg.gain = r.read_u64("reclaim gain")?;
-        self.cfg.busy_threshold = if r.read_bool("reclaim busy_threshold flag")? {
-            Some(r.read_u64("reclaim busy_threshold")?)
-        } else {
-            None
-        };
-        self.next_at = r.read_u64("reclaim next_at")?;
-        self.last_crit_total = r.read_u64("reclaim last_crit_total")?;
-        Ok(())
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("reclaim")?;
+        io.fixed_usize(self.best_effort.len(), "reclaim best-effort count")?;
+        let cfg = &mut self.cfg;
+        io.u64(&mut cfg.critical_reserved)?;
+        io.u64(&mut cfg.be_base)?;
+        io.u64(&mut cfg.control_period)?;
+        io.u64(&mut cfg.gain)?;
+        io.option(&mut cfg.busy_threshold, StateIo::u64)?;
+        io.u64(&mut self.next_at)?;
+        io.u64(&mut self.last_crit_total)
     }
 }
 
@@ -457,47 +385,18 @@ impl Controller for FeedbackController {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("feedback-aimd");
-        h.write_u64(self.target_bytes_per_period);
-        h.write_usize(self.best_effort.len());
-        h.write_u32(self.be_budget);
-        h.write_u32(self.min_budget);
-        h.write_u32(self.max_budget);
-        h.write_u32(self.step);
-        h.write_u64(self.control_period);
-        h.write_u64(self.next_at);
-        h.write_u64(self.last_crit_total);
-        h.write_u64(self.adjustments);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("feedback-aimd")?;
-        self.target_bytes_per_period = r.read_u64("feedback-aimd target")?;
-        let at = r.position();
-        let n = r.read_usize("feedback-aimd best-effort count")?;
-        if n != self.best_effort.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "feedback-aimd has {n} best-effort port(s) in stream, skeleton has {}",
-                    self.best_effort.len()
-                ),
-                at,
-            });
-        }
-        self.be_budget = r.read_u32("feedback-aimd be_budget")?;
-        self.min_budget = r.read_u32("feedback-aimd min_budget")?;
-        self.max_budget = r.read_u32("feedback-aimd max_budget")?;
-        self.step = r.read_u32("feedback-aimd step")?;
-        self.control_period = r.read_u64("feedback-aimd control_period")?;
-        self.next_at = r.read_u64("feedback-aimd next_at")?;
-        self.last_crit_total = r.read_u64("feedback-aimd last_crit_total")?;
-        self.adjustments = r.read_u64("feedback-aimd adjustments")?;
-        Ok(())
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("feedback-aimd")?;
+        io.u64(&mut self.target_bytes_per_period)?;
+        io.fixed_usize(self.best_effort.len(), "feedback-aimd best-effort count")?;
+        io.u32(&mut self.be_budget)?;
+        io.u32(&mut self.min_budget)?;
+        io.u32(&mut self.max_budget)?;
+        io.u32(&mut self.step)?;
+        io.u64(&mut self.control_period)?;
+        io.u64(&mut self.next_at)?;
+        io.u64(&mut self.last_crit_total)?;
+        io.u64(&mut self.adjustments)
     }
 }
 

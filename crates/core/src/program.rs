@@ -19,7 +19,7 @@
 use crate::driver::RegulatorDriver;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 
 /// One register write a [`ScenarioProgram`] can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,30 +160,23 @@ impl Controller for ScenarioProgram {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
         // Hash (and serialize) the *pending* op count, not the list
         // length: a program that replayed a control journal as extra
         // `[phase]` ops and one whose writes arrived live both end
         // fully drained, and from there on they behave identically —
         // which is exactly what equal fingerprints promise. The live
         // replay byte/bit-identity tests pin this equivalence.
-        h.section("scenario-program");
-        h.write_usize(self.ops.len() - self.applied);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("scenario-program")?;
-        let at = r.position();
-        let pending = r.read_usize("program pending op count")?;
-        if pending > self.ops.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{pending} pending program op(s) in stream, skeleton has only {}",
-                    self.ops.len()
-                ),
-                at,
-            });
-        }
+        io.section("scenario-program")?;
+        let at = io.position();
+        let mut pending = self.ops.len() - self.applied;
+        io.usize(&mut pending)?;
+        io.ensure(pending <= self.ops.len(), at, || {
+            format!(
+                "{pending} pending program op(s) in stream, skeleton has only {}",
+                self.ops.len()
+            )
+        })?;
         self.applied = self.ops.len() - pending;
         Ok(())
     }
@@ -251,24 +244,10 @@ impl Controller for FusedController {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("fused");
-        h.write_u64(self.until);
-        self.inner.snap_state(h);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("fused")?;
-        let at = r.position();
-        let until = r.read_u64("fuse cycle")?;
-        if until != self.until {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("fuse cycle {until} in stream, skeleton has {}", self.until),
-                at,
-            });
-        }
-        self.inner.snap_load(r)?;
-        Ok(())
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("fused")?;
+        io.fixed_u64(self.until, "fuse cycle")?;
+        self.inner.state(io)
     }
 }
 
@@ -343,13 +322,13 @@ mod tests {
         };
         let mut a = mk(&d);
         a.on_cycle(Cycle::new(100));
-        let mut h = StateHasher::recording();
-        a.snap_state(&mut h);
-        let bytes = h.take_bytes();
+        let mut io = StateIo::recording();
+        a.state(&mut io).unwrap();
+        let bytes = io.into_hasher().take_bytes();
         let mut b = mk(&d);
-        let mut r = SnapReader::new(&bytes);
-        b.snap_load(&mut r).expect("loads");
-        r.expect_end().expect("stream fully consumed");
+        let mut io = StateIo::reading(&bytes);
+        b.state(&mut io).expect("loads");
+        io.expect_end().expect("stream fully consumed");
         assert_eq!(b.applied(), 1);
     }
 

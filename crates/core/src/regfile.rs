@@ -15,7 +15,7 @@
 //! harnesses and QoS policies), exactly as MMIO is shared between fabric
 //! and host on the real chip.
 
-use fgqos_sim::{SharedFork, StateHasher};
+use fgqos_sim::{SharedFork, SnapDecodeError, StateIo};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -171,63 +171,52 @@ impl RegFile {
         self.write(hi, (value >> 32) as u32);
     }
 
-    /// Feeds every register word, in offset order, into a snapshot
-    /// fingerprint stream.
+    /// Walks every register word, in offset order, through a snapshot
+    /// stream. Interior mutability means reading works through the
+    /// shared handle both the gate and its driver hold — restoring once
+    /// restores both views.
     ///
-    /// Wide-counter LO/HI pairs are written through the typed 64-bit
-    /// counter writer: the little-endian byte stream of
-    /// `write_u32(lo); write_u32(hi)` is exactly the stream of the
-    /// combined 64-bit value, so the typing costs no byte-layout change
-    /// while letting a steady-state leap advance the pair with carry
-    /// (independent 32-bit deltas would corrupt it). The `WINDOWS`
-    /// mirror saturates at `u32::MAX` (see `WindowMonitor::on_cycle`)
-    /// and is typed accordingly.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("regfile");
-        let word = |reg: Reg| self.regs[reg as usize].load(Ordering::Relaxed);
-        let pair = |lo: Reg, hi: Reg| ((word(hi) as u64) << 32) | word(lo) as u64;
-        let mut i = 0;
-        while i < REG_COUNT {
-            match i {
-                x if x == Reg::TotalBytesLo as usize => {
-                    h.write_counter_u64(pair(Reg::TotalBytesLo, Reg::TotalBytesHi));
-                    i += 2;
-                }
-                x if x == Reg::TotalTxnsLo as usize => {
-                    h.write_counter_u64(pair(Reg::TotalTxnsLo, Reg::TotalTxnsHi));
-                    i += 2;
-                }
-                x if x == Reg::StallLo as usize => {
-                    h.write_counter_u64(pair(Reg::StallLo, Reg::StallHi));
-                    i += 2;
-                }
-                x if x == Reg::Windows as usize => {
-                    h.write_counter_u32_sat(word(Reg::Windows));
-                    i += 1;
-                }
-                _ => {
-                    h.write_u32(self.regs[i].load(Ordering::Relaxed));
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Restores every register word from a serialized snapshot stream
-    /// (the decode mirror of [`RegFile::snap`]). Interior mutability
-    /// means this works through the shared handle both the gate and its
-    /// driver hold — restoring once restores both views.
+    /// Wide-counter LO/HI pairs go through the typed 64-bit counter
+    /// field: the little-endian bytes of `lo` then `hi` are exactly the
+    /// bytes of the combined 64-bit value, so the typing costs no
+    /// byte-layout change while letting a steady-state leap advance the
+    /// pair with carry (independent 32-bit deltas would corrupt it). The
+    /// `WINDOWS` mirror saturates at `u32::MAX` (see
+    /// `WindowMonitor::on_cycle`) and is typed accordingly.
     ///
     /// # Errors
     ///
-    /// Any [`fgqos_sim::SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(
-        &self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        r.section("regfile")?;
-        for reg in &self.regs {
-            reg.store(r.read_u32("regfile word")?, Ordering::Relaxed);
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("regfile")?;
+        const WIDE: [usize; 3] = [
+            Reg::TotalBytesLo as usize,
+            Reg::TotalTxnsLo as usize,
+            Reg::StallLo as usize,
+        ];
+        let word = |j: usize| self.regs[j].load(Ordering::Relaxed);
+        let mut i = 0;
+        while i < REG_COUNT {
+            if WIDE.contains(&i) {
+                let mut v = ((word(i + 1) as u64) << 32) | word(i) as u64;
+                io.counter_u64(&mut v)?;
+                if io.is_reading() {
+                    self.regs[i].store(v as u32, Ordering::Relaxed);
+                    self.regs[i + 1].store((v >> 32) as u32, Ordering::Relaxed);
+                }
+                i += 2;
+                continue;
+            }
+            let mut v = word(i);
+            if i == Reg::Windows as usize {
+                io.counter_u32_sat(&mut v)?;
+            } else {
+                io.u32(&mut v)?;
+            }
+            if io.is_reading() {
+                self.regs[i].store(v, Ordering::Relaxed);
+            }
+            i += 1;
         }
         Ok(())
     }

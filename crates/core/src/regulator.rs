@@ -25,7 +25,7 @@ use fgqos_sim::axi::Dir;
 use fgqos_sim::axi::{Request, Response};
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 use std::sync::Arc;
 
 /// When accepted transactions are debited from the window budget.
@@ -291,44 +291,31 @@ impl PortGate for TcRegulator {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("tc-regulator");
-        self.regs.snap(h);
-        self.monitor.snap(h);
-        h.write_u64(self.budget);
-        h.write_u64(self.budget_rd);
-        h.write_u64(self.budget_wr);
-        h.write_bool(self.charge == ChargePolicy::Completion);
-        h.write_bool(self.overshoot == OvershootPolicy::FinalBurst);
-        h.write_counter_u64(self.stall_cycles);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        r.section("tc-regulator")?;
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("tc-regulator")?;
         // Restoring through the shared handle also restores the driver's
         // view — gate and driver stay MMIO-coupled, exactly as in a fork.
-        self.regs.snap_load(r)?;
-        self.monitor.snap_load(r)?;
-        self.budget = r.read_u64("tc-regulator budget")?;
-        self.budget_rd = r.read_u64("tc-regulator budget_rd")?;
-        self.budget_wr = r.read_u64("tc-regulator budget_wr")?;
-        self.charge = if r.read_bool("tc-regulator charge policy")? {
+        self.regs.state(io)?;
+        self.monitor.state(io)?;
+        io.u64(&mut self.budget)?;
+        io.u64(&mut self.budget_rd)?;
+        io.u64(&mut self.budget_wr)?;
+        let mut completion = self.charge == ChargePolicy::Completion;
+        io.bool(&mut completion)?;
+        self.charge = if completion {
             ChargePolicy::Completion
         } else {
             ChargePolicy::Acceptance
         };
-        self.overshoot = if r.read_bool("tc-regulator overshoot policy")? {
+        let mut final_burst = self.overshoot == OvershootPolicy::FinalBurst;
+        io.bool(&mut final_burst)?;
+        self.overshoot = if final_burst {
             OvershootPolicy::FinalBurst
         } else {
             OvershootPolicy::Conservative
         };
-        self.stall_cycles = r.read_u64("tc-regulator stall_cycles")?;
-        Ok(())
+        io.counter_u64(&mut self.stall_cycles)
     }
-
     fn collect_metrics(&self, prefix: &str, registry: &mut fgqos_sim::metrics::MetricsRegistry) {
         registry.gauge(format!("{prefix}.budget_bytes"), self.budget as f64);
         registry.gauge(

@@ -16,7 +16,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone)]
@@ -185,18 +185,21 @@ impl PortGate for SharedBudgetGate {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("shared-budget");
-        let s = self.state.lock().expect("regulator lock");
-        h.write_u64(s.period);
-        h.write_u64(s.budget);
-        h.write_u64(s.window_start.get());
-        h.write_u64(s.used);
-        h.write_u64(s.windows);
-        h.write_u64(s.max_window_bytes);
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        // Shared-budget gates do not support loading: the stream carries
+        // their state for fingerprints only.
+        io.save_only(self.label())?;
+        io.section("shared-budget")?;
+        let mut s = self.state.lock().expect("regulator lock");
+        io.u64(&mut s.period)?;
+        io.u64(&mut s.budget)?;
+        io.u64(&mut s.window_start)?;
+        io.u64(&mut s.used)?;
+        io.u64(&mut s.windows)?;
+        io.u64(&mut s.max_window_bytes)?;
         drop(s);
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.accepted_bytes);
+        io.u64(&mut self.stall_cycles)?;
+        io.u64(&mut self.accepted_bytes)
     }
 }
 

@@ -221,11 +221,7 @@ fn record(
 }
 
 fn family_fingerprint(text: &str) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fgqos_sim::fnv64(text.as_bytes());
     format!("{:08x}", (h >> 32) as u32 ^ h as u32)
 }
 

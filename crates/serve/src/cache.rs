@@ -24,22 +24,13 @@
 //! collision degrades to a miss instead of serving a wrong result.
 
 use crate::protocol::{BatchPoint, BatchSpec, JobSpec};
+use fgqos_sim::fnv64;
 use fgqos_sim::json::Value;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a 64-bit hash, the workspace's content-address function.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The canonical cache key of a job: a stable serialization of the spec
 /// plus its FNV-1a hash.

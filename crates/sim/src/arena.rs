@@ -16,6 +16,7 @@
 
 use crate::axi::{Dir, MasterId, Request};
 use crate::time::Cycle;
+use fgqos_snap::{SnapDecodeError, StateIo};
 
 /// Generational handle to one in-flight transaction in a [`TxnArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,81 +158,60 @@ impl TxnArena {
         req
     }
 
-    /// Feeds the arena's slot-recycling state into a snapshot
-    /// fingerprint.
+    /// Walks the arena's slot-recycling state through a snapshot stream.
     ///
     /// At a quiesced boundary no transaction is live, but the generation
     /// counters and free-list order still determine which `TxnId`s
     /// future allocations receive, so they are architectural state: two
     /// arenas that differ here diverge on the very next `alloc`.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("arena");
-        h.write_usize(self.live);
-        h.write_usize(self.gen.len());
-        for &g in &self.gen {
-            // Slot generations accumulate with wrapping arithmetic (see
-            // `take`), so a leap advances them as wrapping counters.
-            h.write_counter_u32(g);
-        }
-        for &f in &self.free {
-            h.write_u32(f);
-        }
-    }
-
-    /// Restores the arena from a serialized snapshot stream (the decode
-    /// mirror of [`TxnArena::snap`]).
     ///
-    /// Only quiesced arenas can be loaded: live slots would need their
-    /// SoA payload columns reconstructed, which the stream (rightly)
-    /// does not carry. With zero live slots the free list spans every
-    /// slot, and the payload columns hold only dead values that the next
-    /// `alloc` overwrites — placeholders suffice.
+    /// Only quiesced arenas load: live slots would need their SoA
+    /// payload columns, which the stream (rightly) does not carry. With
+    /// zero live slots the free list spans every slot, and the payload
+    /// columns hold only dead values the next `alloc` overwrites —
+    /// placeholders suffice.
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`](fgqos_snap::SnapDecodeError) aborts the whole load; a non-zero live
-    /// count is a diagnostic [`BadValue`](fgqos_snap::SnapDecodeError::BadValue).
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("arena")?;
-        let at = r.position();
-        let live = r.read_usize("arena live")?;
-        if live != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("arena has {live} live transaction(s); only quiesced snapshots load"),
-                at,
-            });
+    /// When reading, any [`SnapDecodeError`] aborts the whole load; a
+    /// non-zero live count or a free-list entry out of range is a
+    /// diagnostic [`SnapDecodeError::BadValue`].
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("arena")?;
+        let at = io.position();
+        io.usize(&mut self.live)?;
+        io.ensure(self.live == 0, at, || {
+            format!(
+                "arena has {} live transaction(s); only quiesced snapshots load",
+                self.live
+            )
+        })?;
+        // Each slot carries a generation and a free-list entry.
+        let mut slots = self.gen.len();
+        io.len(&mut slots, 8)?;
+        if io.is_reading() {
+            self.gen = vec![0; slots];
+            self.free = vec![0; slots];
+            self.master = vec![MasterId::new(0); slots];
+            self.serial = vec![0; slots];
+            self.addr = vec![0; slots];
+            self.beats = vec![0; slots];
+            self.dir = vec![Dir::Read; slots];
+            self.issued_at = vec![Cycle::ZERO; slots];
+            self.accepted_at = vec![Cycle::ZERO; slots];
         }
-        let slots = r.read_usize("arena slot count")?;
-        let mut gen = Vec::new();
-        for _ in 0..slots {
-            gen.push(r.read_u32("arena generation")?);
+        for g in &mut self.gen {
+            // Slot generations accumulate with wrapping arithmetic (see
+            // `take`), so a leap advances them as wrapping counters.
+            io.counter_u32(g)?;
         }
-        let mut free = Vec::new();
-        for _ in 0..slots {
-            let at = r.position();
-            let f = r.read_u32("arena free slot")?;
-            if f as usize >= slots {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("arena free-list entry {f} out of range for {slots} slot(s)"),
-                    at,
-                });
-            }
-            free.push(f);
+        for f in &mut self.free {
+            let at = io.position();
+            io.u32(f)?;
+            io.ensure((*f as usize) < slots, at, || {
+                format!("arena free-list entry {f} out of range for {slots} slot(s)")
+            })?;
         }
-        self.live = 0;
-        self.gen = gen;
-        self.free = free;
-        self.master = vec![MasterId::new(0); slots];
-        self.serial = vec![0; slots];
-        self.addr = vec![0; slots];
-        self.beats = vec![0; slots];
-        self.dir = vec![Dir::Read; slots];
-        self.issued_at = vec![Cycle::ZERO; slots];
-        self.accepted_at = vec![Cycle::ZERO; slots];
         Ok(())
     }
 

@@ -44,9 +44,10 @@ impl fmt::Display for MasterId {
 }
 
 /// Transfer direction of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Dir {
     /// Read transaction (AR channel + R beats).
+    #[default]
     Read,
     /// Write transaction (AW channel + W beats + B response).
     Write,
@@ -57,6 +58,21 @@ impl Dir {
     #[inline]
     pub fn is_read(self) -> bool {
         matches!(self, Dir::Read)
+    }
+
+    /// Snapshot stream layout: one bool byte, set for writes.
+    ///
+    /// # Errors
+    ///
+    /// Any [`fgqos_snap::SnapDecodeError`] of the byte.
+    pub fn state(
+        &mut self,
+        io: &mut fgqos_snap::StateIo,
+    ) -> Result<(), fgqos_snap::SnapDecodeError> {
+        let mut write = *self == Dir::Write;
+        io.bool(&mut write)?;
+        *self = if write { Dir::Write } else { Dir::Read };
+        Ok(())
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::axi::{Dir, Response, BEAT_BYTES};
 use crate::master::{PendingRequest, TrafficSource};
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, StateHasher};
+use fgqos_snap::{ForkCtx, SnapDecodeError, StateIo};
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
@@ -179,26 +179,30 @@ impl Cache {
         addr - addr % self.cfg.line_bytes
     }
 
-    /// Feeds the full cache state (geometry, every line, LRU clock,
-    /// counters) into a snapshot fingerprint stream.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("cache");
-        h.write_u64(self.cfg.size_bytes);
-        h.write_u64(self.cfg.line_bytes);
-        h.write_usize(self.cfg.ways);
-        h.write_u64(self.cfg.hit_latency);
-        h.write_u64(self.tick);
-        h.write_u64(self.stats.hits);
-        h.write_u64(self.stats.misses);
-        h.write_u64(self.stats.writebacks);
-        for set in &self.sets {
-            for line in set {
-                h.write_u64(line.tag);
-                h.write_bool(line.valid);
-                h.write_bool(line.dirty);
-                h.write_u64(line.lru);
-            }
+    /// Walks the full cache state (geometry, every line, LRU clock,
+    /// counters) through a snapshot stream; the geometry is verified
+    /// against the skeleton.
+    ///
+    /// # Errors
+    ///
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("cache")?;
+        io.fixed_u64(self.cfg.size_bytes, "cache size_bytes")?;
+        io.fixed_u64(self.cfg.line_bytes, "cache line_bytes")?;
+        io.fixed_usize(self.cfg.ways, "cache ways")?;
+        io.fixed_u64(self.cfg.hit_latency, "cache hit_latency")?;
+        io.u64(&mut self.tick)?;
+        io.u64(&mut self.stats.hits)?;
+        io.u64(&mut self.stats.misses)?;
+        io.u64(&mut self.stats.writebacks)?;
+        for line in self.sets.iter_mut().flatten() {
+            io.u64(&mut line.tag)?;
+            io.bool(&mut line.valid)?;
+            io.bool(&mut line.dirty)?;
+            io.u64(&mut line.lru)?;
         }
+        Ok(())
     }
 
     /// Performs one access; `is_write` marks the line dirty on hit or
@@ -354,19 +358,22 @@ impl<S: TrafficSource + Clone + 'static> TrafficSource for CachedSource<S> {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("cached-source");
-        self.inner.snap_state(h);
-        self.cache.snap(h);
-        h.write_u64(self.cursor.get());
-        h.write_usize(self.queue.len());
-        for p in &self.queue {
-            h.write_u64(p.addr);
-            h.write_u16(p.beats);
-            h.write_bool(p.dir == Dir::Write);
-            h.write_u64(p.not_before.get());
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        // Cached sources do not support loading: the stream carries
+        // their state for fingerprints only.
+        io.save_only("traffic source")?;
+        io.section("cached-source")?;
+        self.inner.state(io)?;
+        self.cache.state(io)?;
+        io.u64(&mut self.cursor)?;
+        io.usize(&mut self.queue.len())?;
+        for p in &mut self.queue {
+            io.u64(&mut p.addr)?;
+            io.u16(&mut p.beats)?;
+            p.dir.state(io)?;
+            io.u64(&mut p.not_before)?;
         }
-        h.write_u64(self.accesses_done);
+        io.u64(&mut self.accesses_done)
     }
 }
 

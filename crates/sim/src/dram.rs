@@ -21,6 +21,7 @@ use crate::arena::{TxnArena, TxnId};
 use crate::axi::{Dir, Response};
 use crate::stats::LatencyStats;
 use crate::time::Cycle;
+use fgqos_snap::{SnapDecodeError, StateIo};
 use std::collections::VecDeque;
 
 /// A window of densified refresh: between `start` (inclusive) and `end`
@@ -519,53 +520,66 @@ impl DramController {
         self.queue.is_empty() && self.in_service.is_empty()
     }
 
-    /// Feeds the controller's architectural state — queue, bank rows,
-    /// bus/turnaround state, refresh schedule and statistics — into a
-    /// snapshot fingerprint.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("dram");
-        h.write_usize(self.queue.len());
-        for q in &self.queue {
-            h.write_usize(q.txn.index());
-            h.write_u64(q.addr);
-            h.write_u16(q.beats);
-            h.write_bool(q.dir == Dir::Write);
-            h.write_u64(q.arrived.get());
+    /// Walks the controller's architectural state — queue, bank rows,
+    /// bus/turnaround state, refresh schedule and statistics — through a
+    /// snapshot stream. Only quiesced streams (empty request queue,
+    /// nothing in service) load, since queue entries are handles into
+    /// the transaction arena, which serializes no live slots. The bank
+    /// count comes from the rebuilt configuration (the stream's bank
+    /// records are unprefixed).
+    ///
+    /// # Errors
+    ///
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("dram")?;
+        let at = io.position();
+        let mut queued = self.queue.len();
+        io.usize(&mut queued)?;
+        io.ensure(queued == 0, at, || {
+            format!("dram queue holds {queued} request(s); only quiesced snapshots load")
+        })?;
+        if io.is_reading() {
+            self.queue.clear();
         }
-        for b in &self.banks {
-            match b.open_row {
-                Some(r) => {
-                    h.write_bool(true);
-                    h.write_u64(r);
-                }
-                None => h.write_bool(false),
-            }
-            h.write_cycle(b.ready_at.get());
+        for q in &mut self.queue {
+            io.usize(&mut q.txn.index())?;
+            io.u64(&mut q.addr)?;
+            io.u16(&mut q.beats)?;
+            q.dir.state(io)?;
+            io.u64(&mut q.arrived)?;
         }
-        h.write_cycle(self.bus_free_at.get());
-        match self.last_dir {
-            Some(d) => {
-                h.write_bool(true);
-                h.write_bool(d == Dir::Write);
-            }
-            None => h.write_bool(false),
+        for b in &mut self.banks {
+            io.option(&mut b.open_row, StateIo::u64)?;
+            io.cycle(&mut b.ready_at)?;
         }
-        h.write_usize(self.in_service.len());
+        io.cycle(&mut self.bus_free_at)?;
+        io.option(&mut self.last_dir, |io, d| d.state(io))?;
+        let at = io.position();
+        let mut in_service = self.in_service.len();
+        io.usize(&mut in_service)?;
+        io.ensure(in_service == 0, at, || {
+            format!("dram has {in_service} access(es) in service; only quiesced snapshots load")
+        })?;
+        if io.is_reading() {
+            self.in_service.clear();
+        }
         for s in &self.in_service {
-            h.write_usize(s.txn.index());
-            h.write_u64(s.complete_at.get());
+            io.usize(&mut s.txn.index())?;
+            io.u64(&mut { s.complete_at })?;
         }
-        h.write_cycle(self.next_refresh.get());
-        h.write_u32(self.hit_streak);
-        h.write_bool(self.draining_writes);
-        h.write_counter_u64(self.stats.bytes_completed);
-        h.write_counter_u64(self.stats.reads);
-        h.write_counter_u64(self.stats.writes);
-        h.write_counter_u64(self.stats.row_hits);
-        h.write_counter_u64(self.stats.row_misses);
-        h.write_counter_u64(self.stats.bus_busy_cycles);
-        h.write_counter_u64(self.stats.refreshes);
-        self.stats.queue_wait.snap(h);
+        io.cycle(&mut self.next_refresh)?;
+        io.u32(&mut self.hit_streak)?;
+        io.bool(&mut self.draining_writes)?;
+        let st = &mut self.stats;
+        io.counter_u64(&mut st.bytes_completed)?;
+        io.counter_u64(&mut st.reads)?;
+        io.counter_u64(&mut st.writes)?;
+        io.counter_u64(&mut st.row_hits)?;
+        io.counter_u64(&mut st.row_misses)?;
+        io.counter_u64(&mut st.bus_busy_cycles)?;
+        io.counter_u64(&mut st.refreshes)?;
+        st.queue_wait.state(io)
     }
 
     /// Leap constraints of the refresh schedule (see [`crate::leap`]).
@@ -593,73 +607,6 @@ impl DramController {
             }
         }
         LeapSupport::clear()
-    }
-
-    /// Restores the controller from a serialized snapshot stream (the
-    /// decode mirror of [`DramController::snap`]). Only quiesced streams
-    /// — empty request queue, nothing in service — can be loaded, since
-    /// queue entries are handles into the transaction arena, which
-    /// serializes no live slots. The bank count comes from the rebuilt
-    /// configuration (the stream's bank records are unprefixed).
-    ///
-    /// # Errors
-    ///
-    /// Any [`fgqos_snap::SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("dram")?;
-        let at = r.position();
-        let qlen = r.read_usize("dram queue length")?;
-        if qlen != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("dram queue holds {qlen} request(s); only quiesced snapshots load"),
-                at,
-            });
-        }
-        self.queue.clear();
-        for b in &mut self.banks {
-            b.open_row = if r.read_bool("dram bank open flag")? {
-                Some(r.read_u64("dram bank open row")?)
-            } else {
-                None
-            };
-            b.ready_at = Cycle::new(r.read_u64("dram bank ready_at")?);
-        }
-        self.bus_free_at = Cycle::new(r.read_u64("dram bus_free_at")?);
-        self.last_dir = if r.read_bool("dram last_dir flag")? {
-            Some(if r.read_bool("dram last_dir")? {
-                Dir::Write
-            } else {
-                Dir::Read
-            })
-        } else {
-            None
-        };
-        let at = r.position();
-        let in_service = r.read_usize("dram in-service length")?;
-        if in_service != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "dram has {in_service} access(es) in service; only quiesced snapshots load"
-                ),
-                at,
-            });
-        }
-        self.in_service.clear();
-        self.next_refresh = Cycle::new(r.read_u64("dram next_refresh")?);
-        self.hit_streak = r.read_u32("dram hit_streak")?;
-        self.draining_writes = r.read_bool("dram draining_writes")?;
-        self.stats.bytes_completed = r.read_u64("dram bytes_completed")?;
-        self.stats.reads = r.read_u64("dram reads")?;
-        self.stats.writes = r.read_u64("dram writes")?;
-        self.stats.row_hits = r.read_u64("dram row_hits")?;
-        self.stats.row_misses = r.read_u64("dram row_misses")?;
-        self.stats.bus_busy_cycles = r.read_u64("dram bus_busy_cycles")?;
-        self.stats.refreshes = r.read_u64("dram refreshes")?;
-        self.stats.queue_wait.snap_load(r)
     }
 }
 

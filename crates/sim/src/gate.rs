@@ -15,7 +15,7 @@ use crate::axi::{Request, Response};
 use crate::leap::LeapSupport;
 use crate::metrics::MetricsRegistry;
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{ForkCtx, SnapDecodeError, StateIo};
 
 /// Outcome of presenting a request to a gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,28 +122,22 @@ pub trait PortGate {
         None
     }
 
-    /// Feeds this gate's architectural state into a snapshot fingerprint.
+    /// Walks this gate's architectural state through a snapshot stream
+    /// (see [`StateIo`]): a writing walk feeds fingerprints and blobs, a
+    /// reading walk restores a rebuilt skeleton. Stateful gates must
+    /// cover every field [`PortGate::fork_gate`] copies.
     ///
-    /// The default writes only the label, which is sufficient for
-    /// stateless gates; stateful gates must hash every field covered by
-    /// [`PortGate::fork_gate`].
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section(self.label());
-    }
-
-    /// Restores this gate's architectural state from a serialized
-    /// snapshot stream, reading exactly the fields
-    /// [`PortGate::snap_state`] wrote, in the same order.
-    ///
-    /// The default refuses: gate kinds that never opted into persistence
-    /// surface a diagnostic [`SnapDecodeError::Unsupported`] instead of
-    /// silently desynchronizing the stream.
+    /// The default writes only the label and refuses to load: gate kinds
+    /// that never opted into persistence surface a diagnostic
+    /// [`SnapDecodeError::Unsupported`] instead of silently
+    /// desynchronizing the stream.
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    fn snap_load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        Err(SnapDecodeError::unsupported(self.label()))
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.save_only(self.label())?;
+        io.section(self.label())
     }
 }
 
@@ -184,12 +178,8 @@ impl PortGate for Box<dyn PortGate> {
         self.as_ref().fork_gate(ctx)
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        self.as_ref().snap_state(h);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        self.as_mut().snap_load(r)
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        self.as_mut().state(io)
     }
 }
 
@@ -228,9 +218,9 @@ impl PortGate for OpenGate {
         Some(Box::new(*self))
     }
 
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
         // Stateless: the stream carries only the section tag.
-        r.section("open")
+        io.section("open")
     }
 }
 

@@ -8,6 +8,7 @@ use crate::arena::{TxnArena, TxnId};
 use crate::axi::MasterId;
 use crate::dram::DramController;
 use crate::time::Cycle;
+use fgqos_snap::{SnapDecodeError, StateIo};
 use std::collections::VecDeque;
 
 /// Arbitration policy between master ports.
@@ -187,114 +188,49 @@ impl Crossbar {
         }
     }
 
-    /// Feeds the crossbar's architectural state — FIFO contents,
-    /// arbitration cursor and weighted-round-robin credit — into a
-    /// snapshot fingerprint.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("xbar");
-        h.write_str(self.cfg.arbitration.label());
-        h.write_usize(self.cfg.port_fifo_depth);
-        h.write_usize(self.ports.len());
-        for port in &self.ports {
-            h.write_usize(port.len());
-            for id in port {
-                h.write_usize(id.index());
-            }
-        }
-        h.write_usize(self.queued);
-        h.write_usize(self.rr_next);
-        for &w in &self.weights {
-            h.write_u32(w);
-        }
-        for &c in &self.swrr_credit {
-            h.write_u64(c as u64);
-        }
-    }
-
-    /// Restores the crossbar from a serialized snapshot stream (the
-    /// decode mirror of [`Crossbar::snap`]). Configuration-derived
-    /// fields — arbitration policy, FIFO depth, port count, weights —
-    /// are verified against the rebuilt skeleton; only quiesced streams
-    /// (empty FIFOs) can be loaded, because FIFO entries are handles
-    /// into the transaction arena, which serializes no live slots.
+    /// Walks the crossbar's architectural state — FIFO contents,
+    /// arbitration cursor and weighted-round-robin credit — through a
+    /// snapshot stream. Configuration-derived fields (arbitration policy,
+    /// FIFO depth, port count, weights) are verified against the rebuilt
+    /// skeleton; only quiesced streams (empty FIFOs) load, because FIFO
+    /// entries are handles into the transaction arena, which serializes
+    /// no live slots.
     ///
     /// # Errors
     ///
-    /// Any [`fgqos_snap::SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("xbar")?;
-        let at = r.position();
-        let arb = r.read_str("xbar arbitration")?;
-        if arb != self.cfg.arbitration.label() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar arbitration {arb:?} in stream, skeleton has {:?}",
-                    self.cfg.arbitration.label()
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let depth = r.read_usize("xbar port_fifo_depth")?;
-        if depth != self.cfg.port_fifo_depth {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar FIFO depth {depth} in stream, skeleton has {}",
-                    self.cfg.port_fifo_depth
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let nports = r.read_usize("xbar port count")?;
-        if nports != self.ports.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar has {nports} port(s) in stream, skeleton has {}",
-                    self.ports.len()
-                ),
-                at,
-            });
-        }
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("xbar")?;
+        io.fixed_str(self.cfg.arbitration.label(), "xbar arbitration")?;
+        io.fixed_usize(self.cfg.port_fifo_depth, "xbar port_fifo_depth")?;
+        io.fixed_usize(self.ports.len(), "xbar port count")?;
         for (p, port) in self.ports.iter_mut().enumerate() {
-            let at = r.position();
-            let len = r.read_usize("xbar port FIFO length")?;
-            if len != 0 {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "xbar port {p} FIFO holds {len} entr(ies); only quiesced snapshots load"
-                    ),
-                    at,
-                });
+            let at = io.position();
+            let mut len = port.len();
+            io.usize(&mut len)?;
+            io.ensure(len == 0, at, || {
+                format!("xbar port {p} FIFO holds {len} entr(ies); only quiesced snapshots load")
+            })?;
+            if io.is_reading() {
+                port.clear();
             }
-            port.clear();
-        }
-        let at = r.position();
-        let queued = r.read_usize("xbar queued")?;
-        if queued != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("xbar queued count {queued} with empty FIFOs"),
-                at,
-            });
-        }
-        self.queued = 0;
-        self.rr_next = r.read_usize("xbar rr_next")?;
-        for (p, w) in self.weights.iter().enumerate() {
-            let at = r.position();
-            let sw = r.read_u32("xbar weight")?;
-            if sw != *w {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("xbar port {p} weight {sw} in stream, skeleton has {w}"),
-                    at,
-                });
+            for id in port.iter() {
+                io.usize(&mut id.index())?;
             }
+        }
+        let at = io.position();
+        io.usize(&mut self.queued)?;
+        io.ensure(self.queued == 0, at, || {
+            format!("xbar queued count {} with empty FIFOs", self.queued)
+        })?;
+        io.usize(&mut self.rr_next)?;
+        for &w in &self.weights {
+            io.fixed_u32(w, "xbar port weight")?;
         }
         for c in &mut self.swrr_credit {
-            *c = r.read_u64("xbar swrr credit")? as i64;
+            let mut word = *c as u64;
+            io.u64(&mut word)?;
+            *c = word as i64;
         }
         Ok(())
     }

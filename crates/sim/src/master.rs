@@ -13,7 +13,7 @@ use crate::interconnect::Crossbar;
 use crate::leap::LeapSupport;
 use crate::stats::{BandwidthMeter, LatencyStats, WindowRecorder};
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, SnapshotError, StateHasher};
+use fgqos_snap::{ForkCtx, SnapDecodeError, SnapshotError, StateIo};
 use std::fmt;
 
 /// Broad class of a master, fixing sensible defaults.
@@ -39,7 +39,7 @@ impl MasterKind {
 
 /// A request produced by a [`TrafficSource`], not yet presented to the
 /// interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PendingRequest {
     /// Byte address of the first beat.
     pub addr: u64,
@@ -96,22 +96,18 @@ pub trait TrafficSource {
         None
     }
 
-    /// Feeds this source's architectural state into a snapshot
-    /// fingerprint. Stateful sources must hash every field that
-    /// influences the remaining request stream.
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("source");
-    }
-
-    /// Restores this source's state from a serialized snapshot stream
-    /// (the decode mirror of [`TrafficSource::snap_state`]). The default
-    /// refuses with a diagnostic [`SnapDecodeError::Unsupported`].
+    /// Walks this source's architectural state through a snapshot
+    /// stream (see [`StateIo`]). Stateful sources must cover every field
+    /// that influences the remaining request stream. The default writes
+    /// a `source` section and refuses to load with a diagnostic
+    /// [`SnapDecodeError::Unsupported`].
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    fn snap_load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        Err(SnapDecodeError::unsupported("traffic source"))
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.save_only("traffic source")?;
+        io.section("source")
     }
 }
 
@@ -140,12 +136,8 @@ impl TrafficSource for Box<dyn TrafficSource> {
         self.as_ref().fork_source(ctx)
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        self.as_ref().snap_state(h);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        self.as_mut().snap_load(r)
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        self.as_mut().state(io)
     }
 }
 
@@ -328,37 +320,18 @@ impl TrafficSource for SequentialSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("seq-source");
-        h.write_u64(self.base);
-        h.write_u64(self.next_addr);
-        h.write_u16(self.beats);
-        h.write_bool(self.dir == Dir::Write);
-        h.write_u64(self.total_txns);
-        h.write_counter_u64(self.issued);
-        h.write_u64(self.gap);
-        h.write_u64(self.think_time);
-        h.write_u64(self.footprint);
-        h.write_cycle(self.next_ready.get());
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("seq-source")?;
-        self.base = r.read_u64("seq-source base")?;
-        self.next_addr = r.read_u64("seq-source next_addr")?;
-        self.beats = r.read_u16("seq-source beats")?;
-        self.dir = if r.read_bool("seq-source dir")? {
-            Dir::Write
-        } else {
-            Dir::Read
-        };
-        self.total_txns = r.read_u64("seq-source total_txns")?;
-        self.issued = r.read_u64("seq-source issued")?;
-        self.gap = r.read_u64("seq-source gap")?;
-        self.think_time = r.read_u64("seq-source think_time")?;
-        self.footprint = r.read_u64("seq-source footprint")?;
-        self.next_ready = Cycle::new(r.read_u64("seq-source next_ready")?);
-        Ok(())
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("seq-source")?;
+        io.u64(&mut self.base)?;
+        io.u64(&mut self.next_addr)?;
+        io.u16(&mut self.beats)?;
+        self.dir.state(io)?;
+        io.u64(&mut self.total_txns)?;
+        io.counter_u64(&mut self.issued)?;
+        io.u64(&mut self.gap)?;
+        io.u64(&mut self.think_time)?;
+        io.u64(&mut self.footprint)?;
+        io.cycle(&mut self.next_ready)
     }
 }
 
@@ -386,48 +359,32 @@ pub struct MasterStats {
 }
 
 impl MasterStats {
-    /// Feeds the record into a snapshot fingerprint.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("stats");
-        h.write_counter_u64(self.issued_txns);
-        h.write_counter_u64(self.completed_txns);
-        h.write_counter_u64(self.bytes_completed);
-        self.latency.snap(h);
-        self.service_latency.snap(h);
-        h.write_counter_u64(self.gate_stall_cycles);
-        h.write_counter_u64(self.fifo_stall_cycles);
-        self.meter.snap(h);
-        match &self.window {
-            Some(w) => {
-                h.write_bool(true);
-                w.snap(h);
-            }
-            None => h.write_bool(false),
-        }
-    }
-
-    /// Restores the record from a serialized snapshot stream (the decode
-    /// mirror of [`MasterStats::snap`]).
+    /// Walks the record through a snapshot stream (see [`StateIo`]).
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("stats")?;
-        self.issued_txns = r.read_u64("stats issued_txns")?;
-        self.completed_txns = r.read_u64("stats completed_txns")?;
-        self.bytes_completed = r.read_u64("stats bytes_completed")?;
-        self.latency.snap_load(r)?;
-        self.service_latency.snap_load(r)?;
-        self.gate_stall_cycles = r.read_u64("stats gate_stall_cycles")?;
-        self.fifo_stall_cycles = r.read_u64("stats fifo_stall_cycles")?;
-        self.meter.snap_load(r)?;
-        self.window = if r.read_bool("stats window flag")? {
-            Some(WindowRecorder::snap_load(r)?)
-        } else {
-            None
-        };
-        Ok(())
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("stats")?;
+        io.counter_u64(&mut self.issued_txns)?;
+        io.counter_u64(&mut self.completed_txns)?;
+        io.counter_u64(&mut self.bytes_completed)?;
+        self.latency.state(io)?;
+        self.service_latency.state(io)?;
+        io.counter_u64(&mut self.gate_stall_cycles)?;
+        io.counter_u64(&mut self.fifo_stall_cycles)?;
+        self.meter.state(io)?;
+        let mut recording = self.window.is_some();
+        io.bool(&mut recording)?;
+        if !recording {
+            self.window = None;
+            return Ok(());
+        }
+        // Read into a skeleton without a recorder, the stream overwrites
+        // a placeholder whole.
+        self.window
+            .get_or_insert_with(|| WindowRecorder::new(1))
+            .state(io)
     }
 }
 
@@ -783,149 +740,39 @@ impl Master {
         })
     }
 
-    /// Feeds the master's full state — issue state machine, fast-forward
-    /// bookkeeping, source, gate and statistics — into a snapshot
-    /// fingerprint.
-    pub(crate) fn snap(&self, h: &mut StateHasher) {
-        h.section("master");
-        h.write_usize(self.id.index());
-        h.write_str(&self.name);
-        h.write_u8(match self.kind {
-            MasterKind::Cpu => 0,
-            MasterKind::Accelerator => 1,
-        });
-        h.write_usize(self.max_outstanding);
-        match &self.staged {
-            Some((p, first)) => {
-                h.write_bool(true);
-                h.write_u64(p.addr);
-                h.write_u16(p.beats);
-                h.write_bool(p.dir == Dir::Write);
-                h.write_cycle(p.not_before.get());
-                match first {
-                    Some(c) => {
-                        h.write_bool(true);
-                        h.write_cycle(c.get());
-                    }
-                    None => h.write_bool(false),
-                }
-            }
-            None => h.write_bool(false),
-        }
-        h.write_usize(self.in_flight);
-        h.write_counter_u64(self.serial);
-        h.write_bool(self.last_denied);
-        h.write_bool(self.gate_dirty);
-        match self.retry_at {
-            Some(c) => {
-                h.write_bool(true);
-                h.write_cycle(c.get());
-            }
-            None => h.write_bool(false),
-        }
-        h.write_bool(self.fifo_blocked);
-        h.write_bool(self.pull_pending);
-        h.write_cycle(self.last_tick.get());
-        self.source.snap_state(h);
-        self.gate.snap_state(h);
-        self.stats.snap(h);
-    }
-
-    /// Restores the master's full state from a serialized snapshot
-    /// stream (the decode mirror of [`Master::snap`]). Identity fields —
-    /// id, name, kind, outstanding limit — come from the rebuilt
-    /// skeleton and are *verified* against the stream rather than
-    /// overwritten, so a stream loaded into the wrong scenario fails
-    /// loudly at the first divergent master.
-    pub(crate) fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("master")?;
-        let at = r.position();
-        let id = r.read_usize("master id")?;
-        if id != self.id.index() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "master id {} in stream, skeleton has {}",
-                    id,
-                    self.id.index()
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let name = r.read_str("master name")?;
-        if name != self.name {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "master name {name:?} in stream, skeleton has {:?}",
-                    self.name
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let kind = r.read_u8("master kind")?;
-        let own_kind = match self.kind {
+    /// Walks the master's full state — issue state machine, fast-forward
+    /// bookkeeping, source, gate and statistics — through a snapshot
+    /// stream. Identity fields (id, name, kind, outstanding limit) come
+    /// from the rebuilt skeleton and are verified, so a stream loaded
+    /// into the wrong scenario fails at the first divergent master.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("master")?;
+        io.fixed_usize(self.id.index(), "master id")?;
+        io.fixed_str(&self.name, "master name")?;
+        let kind = match self.kind {
             MasterKind::Cpu => 0,
             MasterKind::Accelerator => 1,
         };
-        if kind != own_kind {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("master {name:?} kind {kind} in stream, skeleton has {own_kind}"),
-                at,
-            });
-        }
-        let at = r.position();
-        let outstanding = r.read_usize("master max_outstanding")?;
-        if outstanding != self.max_outstanding {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "master {name:?} max_outstanding {outstanding} in stream, skeleton has {}",
-                    self.max_outstanding
-                ),
-                at,
-            });
-        }
-        self.staged = if r.read_bool("master staged flag")? {
-            let addr = r.read_u64("staged addr")?;
-            let beats = r.read_u16("staged beats")?;
-            let dir = if r.read_bool("staged dir")? {
-                Dir::Write
-            } else {
-                Dir::Read
-            };
-            let not_before = Cycle::new(r.read_u64("staged not_before")?);
-            let first = if r.read_bool("staged first flag")? {
-                Some(Cycle::new(r.read_u64("staged first cycle")?))
-            } else {
-                None
-            };
-            Some((
-                PendingRequest {
-                    addr,
-                    beats,
-                    dir,
-                    not_before,
-                },
-                first,
-            ))
-        } else {
-            None
-        };
-        self.in_flight = r.read_usize("master in_flight")?;
-        self.serial = r.read_u64("master serial")?;
-        self.last_denied = r.read_bool("master last_denied")?;
-        self.gate_dirty = r.read_bool("master gate_dirty")?;
-        self.retry_at = if r.read_bool("master retry_at flag")? {
-            Some(Cycle::new(r.read_u64("master retry_at")?))
-        } else {
-            None
-        };
-        self.fifo_blocked = r.read_bool("master fifo_blocked")?;
-        self.pull_pending = r.read_bool("master pull_pending")?;
-        self.last_tick = Cycle::new(r.read_u64("master last_tick")?);
-        self.source.snap_load(r)?;
-        self.gate.snap_load(r)?;
-        self.stats.snap_load(r)
+        io.fixed_u8(kind, "master kind")?;
+        io.fixed_usize(self.max_outstanding, "master max_outstanding")?;
+        io.option(&mut self.staged, |io, (p, first)| {
+            io.u64(&mut p.addr)?;
+            io.u16(&mut p.beats)?;
+            p.dir.state(io)?;
+            io.cycle(&mut p.not_before)?;
+            io.option(first, StateIo::cycle)
+        })?;
+        io.usize(&mut self.in_flight)?;
+        io.counter_u64(&mut self.serial)?;
+        io.bool(&mut self.last_denied)?;
+        io.bool(&mut self.gate_dirty)?;
+        io.option(&mut self.retry_at, StateIo::cycle)?;
+        io.bool(&mut self.fifo_blocked)?;
+        io.bool(&mut self.pull_pending)?;
+        io.cycle(&mut self.last_tick)?;
+        self.source.state(io)?;
+        self.gate.state(io)?;
+        self.stats.state(io)
     }
 
     /// Shared access to the port gate (metrics snapshots).

@@ -8,14 +8,20 @@
 //! and an empty transaction arena implies every queue between master and
 //! DRAM is drained. What remains is per-component architectural state
 //! (sources, gates, bank rows, statistics), which every component knows
-//! how to deep-copy (`fork_*`) and hash (`snap_state`).
+//! how to deep-copy (`fork_*`) and walk through a stream (`state`).
 //!
-//! **Fingerprint.** [`Soc::fingerprint`] folds the full architectural
-//! state through a byte-stable FNV-1a stream ([`fgqos_snap::StateHasher`])
-//! prefixed by [`SNAPSHOT_VERSION`]. Two Socs with equal fingerprints
-//! behave identically for the rest of the run (same future requests,
-//! same decisions, same reports); the fork-vs-cold proptest in
-//! `tests/snapshot.rs` is the evidence.
+//! **One layout.** Each component states its stream layout once, in a
+//! `state(&mut self, io: &mut StateIo)` walk ([`fgqos_snap::StateIo`]).
+//! `Soc::state` walks the whole machine; [`Soc::fingerprint`] is that
+//! walk hashing, [`Soc::typed_state`] recording with the typed field map
+//! the leap engine needs, and [`Soc::load_state`] reading into a rebuilt
+//! skeleton — so encoder and decoder cannot drift apart.
+//!
+//! **Fingerprint.** The stream is a byte-stable FNV-1a fold
+//! ([`fgqos_snap::StateHasher`]) prefixed by [`SNAPSHOT_VERSION`]. Two
+//! Socs with equal fingerprints behave identically for the rest of the
+//! run (same future requests, same decisions, same reports); the
+//! fork-vs-cold proptest in `tests/snapshot.rs` is the evidence.
 //!
 //! **Forking.** [`SocSnapshot::fork`] produces an independent Soc that
 //! continues from the boundary. Shared handles (regulator register
@@ -25,16 +31,17 @@
 //! [`SocSnapshot::fork_with`] plus the driver-side rebinding helpers
 //! (e.g. `RegulatorDriver::forked` in `fgqos-core`). Large stat arrays
 //! are copy-on-write, so N forks share one warm-up history until they
-//! write.
+//! write. A snapshot keeps the stream recorded at capture, so its
+//! fingerprint, stream bytes and blob never walk the machine again.
 //!
-//! **Versioning.** [`SNAPSHOT_VERSION`] is bumped whenever the hash
-//! stream's encoding or component order changes, so fingerprints from
-//! different stream layouts can never collide silently.
+//! **Versioning.** [`SNAPSHOT_VERSION`] is bumped whenever the stream's
+//! encoding or component order changes, so fingerprints from different
+//! stream layouts can never collide silently.
 
 use crate::system::Soc;
 use crate::time::Cycle;
 use fgqos_snap::{
-    ForkCtx, SnapDecodeError, SnapReader, SnapshotBlob, SnapshotError, StateHasher, TypedSnapshot,
+    ForkCtx, SnapDecodeError, SnapshotBlob, SnapshotError, StateHasher, StateIo, TypedSnapshot,
 };
 
 /// Version of the snapshot fingerprint stream. Bumped whenever the
@@ -52,40 +59,57 @@ impl Soc {
     /// Callable at any cycle (not only quiesced boundaries); two Socs
     /// with equal fingerprints and equal in-flight state behave
     /// identically from here on.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StateHasher::new();
-        self.snap(&mut h);
-        h.finish()
+    pub fn fingerprint(&mut self) -> u64 {
+        self.write_state(StateIo::hashing()).finish()
     }
 
     /// Records the full state stream together with its typed field map
     /// (the record the leap engine keys and advances; see
     /// [`fgqos_snap::TypedSnapshot`]).
     pub fn typed_state(&mut self) -> TypedSnapshot {
-        let mut h = StateHasher::typed_recording();
-        self.snap(&mut h);
-        h.take_typed()
+        self.write_state(StateIo::typed_recording()).take_typed()
     }
 
-    /// Feeds the full architectural state into `h` (the fingerprint
-    /// stream; see [`Soc::fingerprint`]).
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("fgqos.soc-snapshot");
-        h.write_u32(SNAPSHOT_VERSION);
-        h.write_u64(self.freq.hz());
-        h.write_cycle(self.cycle.get());
-        h.write_bool(self.naive);
-        h.write_usize(self.masters.len());
-        for m in &self.masters {
-            m.snap(h);
+    /// Runs a writing walk, which cannot fail.
+    fn write_state(&mut self, mut io: StateIo<'static>) -> StateHasher {
+        self.state(&mut io)
+            .expect("writing a state stream cannot fail");
+        io.into_hasher()
+    }
+
+    /// Walks the full architectural state through a snapshot stream (see
+    /// the [module docs](self)). Structural, configuration-derived facts
+    /// — clock, master identities, crossbar configuration, controller
+    /// count — are verified when reading, while mutable architectural
+    /// state is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// When reading, any [`SnapDecodeError`] (see [`Soc::load_state`]).
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("fgqos.soc-snapshot")?;
+        let mut version = SNAPSHOT_VERSION;
+        io.u32(&mut version)?;
+        if version != SNAPSHOT_VERSION {
+            return Err(SnapDecodeError::Version {
+                found: version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
-        self.xbar.snap(h);
-        self.dram.snap(h);
-        h.write_usize(self.controllers.len());
-        for c in &self.controllers {
-            c.snap_state(h);
+        io.fixed_u64(self.freq.hz(), "soc clock hz")?;
+        io.cycle(&mut self.cycle)?;
+        io.bool(&mut self.naive)?;
+        io.fixed_usize(self.masters.len(), "master count")?;
+        for m in &mut self.masters {
+            m.state(io)?;
         }
-        self.arena.snap(h);
+        self.xbar.state(io)?;
+        self.dram.state(io)?;
+        io.fixed_usize(self.controllers.len(), "controller count")?;
+        for c in &mut self.controllers {
+            c.state(io)?;
+        }
+        self.arena.state(io)
     }
 
     /// Deep-copies this Soc, remapping shared handles through `ctx`.
@@ -148,17 +172,23 @@ impl Soc {
                 live_txns: self.arena.live(),
             });
         }
+        let recorded = self.write_state(StateIo::recording());
+        self.capture(recorded)
+    }
+
+    /// Wraps this quiesced Soc and its recorded stream into a snapshot.
+    fn capture(mut self, recorded: StateHasher) -> Result<SocSnapshot, SnapshotError> {
         // Probe fork: surfaces Unforkable now instead of per point.
         let mut probe = ForkCtx::new();
         self.fork_with(&mut probe)?;
-        let fingerprint = self.fingerprint();
         // Forks start leap detection fresh, so the captured Soc's
         // recurrence records are dead weight for as long as the
         // snapshot lives.
         self.leap.forget_history();
         Ok(SocSnapshot {
+            fingerprint: recorded.finish(),
             soc: self,
-            fingerprint,
+            state: recorded.take_bytes(),
         })
     }
 
@@ -170,13 +200,10 @@ impl Soc {
 
     /// Loads a serialized state stream (see [`SocSnapshot::state_bytes`])
     /// into this Soc, which must be a freshly built skeleton of the same
-    /// scenario: structural, configuration-derived facts (clock, master
-    /// identities, crossbar configuration, controller count) are
-    /// *verified* against the stream, while mutable architectural state
-    /// is overwritten. Callers should re-fingerprint afterwards and
-    /// compare against the capture-time fingerprint — that is what makes
-    /// a wrong or partial load impossible to miss
-    /// (see [`SocSnapshot::load_into`]).
+    /// scenario: the state walk that fingerprints the Soc, reading.
+    /// Callers should re-fingerprint afterwards and compare against the
+    /// capture-time fingerprint — that is what makes a wrong or partial
+    /// load impossible to miss (see [`SocSnapshot::load_into`]).
     ///
     /// # Errors
     ///
@@ -185,60 +212,9 @@ impl Soc {
     /// support loading, or trailing bytes. The Soc is left in an
     /// unspecified partially-loaded state on error and must be discarded.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapDecodeError> {
-        let mut r = SnapReader::new(bytes);
-        r.section("fgqos.soc-snapshot")?;
-        let version = r.read_u32("snapshot version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapDecodeError::Version {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let at = r.position();
-        let hz = r.read_u64("soc clock hz")?;
-        if hz != self.freq.hz() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "soc clock {hz} Hz in stream, skeleton has {}",
-                    self.freq.hz()
-                ),
-                at,
-            });
-        }
-        self.cycle = Cycle::new(r.read_u64("soc cycle")?);
-        self.naive = r.read_bool("soc naive flag")?;
-        let at = r.position();
-        let n = r.read_usize("master count")?;
-        if n != self.masters.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{n} master(s) in stream, skeleton has {}",
-                    self.masters.len()
-                ),
-                at,
-            });
-        }
-        for m in &mut self.masters {
-            m.snap_load(&mut r)?;
-        }
-        self.xbar.snap_load(&mut r)?;
-        self.dram.snap_load(&mut r)?;
-        let at = r.position();
-        let nc = r.read_usize("controller count")?;
-        if nc != self.controllers.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{nc} controller(s) in stream, skeleton has {}",
-                    self.controllers.len()
-                ),
-                at,
-            });
-        }
-        for c in &mut self.controllers {
-            c.snap_load(&mut r)?;
-        }
-        self.arena.snap_load(&mut r)?;
-        r.expect_end()
+        let mut io = StateIo::reading(bytes);
+        self.state(&mut io)?;
+        io.expect_end()
     }
 }
 
@@ -266,6 +242,8 @@ impl Soc {
 pub struct SocSnapshot {
     soc: Soc,
     fingerprint: u64,
+    /// The stream recorded at capture.
+    state: Vec<u8>,
 }
 
 impl std::fmt::Debug for SocSnapshot {
@@ -312,23 +290,19 @@ impl SocSnapshot {
             .expect("forkability was validated at capture")
     }
 
-    /// Recomputes the captured state's fingerprint and compares it with
-    /// the one recorded at capture (a self-check for tests and debug
-    /// assertions; snapshots are immutable, so this can only fail on a
-    /// hashing bug).
+    /// Fingerprints a fresh fork and compares it with the fingerprint
+    /// recorded at capture (a self-check for tests: snapshots are
+    /// immutable, so this fails only when forking or the state walk is
+    /// broken, or when a fork shares state with the snapshot).
     pub fn verify(&self) -> bool {
-        self.soc.fingerprint() == self.fingerprint
+        self.fork().fingerprint() == self.fingerprint
     }
 
-    /// Serializes the captured state to its canonical byte stream: the
-    /// exact bytes the fingerprint hashes, captured by running the
-    /// [`StateHasher`] in recording mode. By construction,
+    /// The captured state's canonical byte stream, recorded at capture:
+    /// the exact bytes the fingerprint hashes, so
     /// `fnv64(state_bytes()) == fingerprint()`.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut h = StateHasher::recording();
-        self.soc.snap(&mut h);
-        debug_assert_eq!(h.finish(), self.fingerprint);
-        h.take_bytes()
+        self.state.clone()
     }
 
     /// Packages the snapshot as a durable [`SnapshotBlob`], embedding
@@ -340,7 +314,7 @@ impl SocSnapshot {
             fingerprint: self.fingerprint,
             cycle: self.soc.now().get(),
             scenario: scenario.into(),
-            state: self.state_bytes(),
+            state: self.state.clone(),
         }
     }
 
@@ -373,19 +347,22 @@ impl SocSnapshot {
                 at: 0,
             });
         }
-        let fingerprint = soc.fingerprint();
+        // Recording the loaded state once both verifies the fingerprint
+        // and becomes the snapshot's stream.
+        let recorded = soc.write_state(StateIo::recording());
+        let fingerprint = recorded.finish();
         if fingerprint != blob.fingerprint {
             return Err(SnapDecodeError::FingerprintMismatch {
                 expected: blob.fingerprint,
                 found: fingerprint,
             });
         }
-        soc.snapshot().map_err(|e| match e {
+        soc.capture(recorded).map_err(|e| match e {
             SnapshotError::Unforkable { label } => {
                 SnapDecodeError::Unsupported { component: label }
             }
-            SnapshotError::NotQuiesced { live_txns } => SnapDecodeError::BadValue {
-                what: format!("{live_txns} live transaction(s) after load"),
+            other => SnapDecodeError::BadValue {
+                what: other.to_string(),
                 at: 0,
             },
         })
@@ -495,7 +472,7 @@ mod tests {
         soc.quiesce_point(10_000_000).expect("drains");
         let snap = soc.snapshot().expect("quiesced");
         let mut a = snap.fork();
-        let b = snap.fork();
+        let mut b = snap.fork();
         let b_before = b.fingerprint();
         a.run(100_000);
         assert_eq!(

@@ -6,7 +6,7 @@
 //! attached to every master for arbitrarily long runs.
 
 use crate::time::{Bandwidth, Cycle, Freq};
-use fgqos_snap::{CowVec, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{CowVec, SnapDecodeError, StateIo};
 
 /// Accumulates transferred bytes over an interval and converts the count
 /// into a [`Bandwidth`].
@@ -68,26 +68,16 @@ impl BandwidthMeter {
         self.start = now;
     }
 
-    /// Feeds the meter's state into a snapshot fingerprint.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("meter");
-        h.write_counter_u64(self.bytes);
-        h.write_counter_u64(self.txns);
-        h.write_cycle(self.start.get());
-    }
-
-    /// Restores the meter from a serialized snapshot stream (the decode
-    /// mirror of [`BandwidthMeter::snap`]).
+    /// Walks the meter through a snapshot stream (see [`StateIo`]).
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("meter")?;
-        self.bytes = r.read_u64("meter bytes")?;
-        self.txns = r.read_u64("meter txns")?;
-        self.start = Cycle::new(r.read_u64("meter start")?);
-        Ok(())
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("meter")?;
+        io.counter_u64(&mut self.bytes)?;
+        io.counter_u64(&mut self.txns)?;
+        io.cycle(&mut self.start)
     }
 }
 
@@ -269,50 +259,43 @@ impl LatencyStats {
         self.max = self.max.max(other.max);
     }
 
-    /// Feeds the distribution's state into a snapshot fingerprint
-    /// (summary fields plus the non-empty buckets as index/count pairs).
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("latency");
-        h.write_counter_u64(self.count);
-        h.write_counter_u128(self.sum);
-        h.write_u64(self.min);
-        h.write_u64(self.max);
-        for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
-            h.write_usize(i);
-            h.write_counter_u64(c);
-        }
-    }
-
-    /// Restores the distribution from a serialized snapshot stream (the
-    /// decode mirror of [`LatencyStats::snap`]). The bucket pairs carry
-    /// no length prefix; they are read until their counts sum to the
-    /// recorded total, with strictly increasing indices — any deviation
-    /// is a diagnostic error.
+    /// Walks the distribution through a snapshot stream: summary fields,
+    /// then the non-empty buckets as index/count pairs. The pairs carry
+    /// no length prefix; reading takes them until their counts sum to
+    /// the recorded total, with strictly increasing indices — any
+    /// deviation is a diagnostic error.
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("latency")?;
-        let count = r.read_u64("latency count")?;
-        let sum = r.read_u128("latency sum")?;
-        let min = r.read_u64("latency min")?;
-        let max = r.read_u64("latency max")?;
-        self.clear();
-        self.count = count;
-        self.sum = sum;
-        self.min = min;
-        self.max = max;
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("latency")?;
+        io.counter_u64(&mut self.count)?;
+        io.counter_u128(&mut self.sum)?;
+        io.u64(&mut self.min)?;
+        io.u64(&mut self.max)?;
+        if !io.is_reading() {
+            for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+                io.usize(&mut { i })?;
+                io.counter_u64(&mut { c })?;
+            }
+            return Ok(());
+        }
         let buckets = self.buckets.make_mut();
-        let mut acc: u64 = 0;
-        let mut last: Option<usize> = None;
-        while acc < count {
-            let at = r.position();
-            let i = r.read_usize("latency bucket index")?;
-            let c = r.read_u64("latency bucket count")?;
-            if i >= buckets.len() || c == 0 || last.is_some_and(|l| i <= l) || c > count - acc {
+        buckets.fill(0);
+        let (mut acc, mut last) = (0u64, None);
+        while acc < self.count {
+            let at = io.position();
+            let (mut i, mut c) = (0usize, 0u64);
+            io.usize(&mut i)?;
+            io.counter_u64(&mut c)?;
+            if i >= buckets.len() || c == 0 || last.is_some_and(|l| i <= l) || c > self.count - acc
+            {
                 return Err(SnapDecodeError::BadValue {
-                    what: format!("latency bucket ({i}, {c}) inconsistent with count {count}"),
+                    what: format!(
+                        "latency bucket ({i}, {c}) inconsistent with count {}",
+                        self.count
+                    ),
                     at,
                 });
             }
@@ -353,7 +336,7 @@ pub struct WindowRecorder {
 /// Per-window latency summary produced by a [`WindowRecorder`] in latency
 /// mode (one entry per closed window, aligned with
 /// [`WindowRecorder::windows`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowLatency {
     /// Samples recorded within the window.
     pub count: u64,
@@ -457,72 +440,50 @@ impl WindowRecorder {
         self.windows.iter().copied().max().unwrap_or(0)
     }
 
-    /// Feeds the recorder's state into a snapshot fingerprint.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("window-recorder");
-        h.write_u64(self.window_cycles);
-        h.write_u64(self.current_window);
-        h.write_u64(self.current_value);
-        h.write_usize(self.windows.len());
-        for &w in self.windows.iter() {
-            h.write_u64(w);
-        }
-        match &self.lat_scratch {
-            Some(s) => {
-                h.write_bool(true);
-                s.snap(h);
-            }
-            None => h.write_bool(false),
-        }
-        h.write_usize(self.lat_windows.len());
-        for lw in self.lat_windows.iter() {
-            h.write_u64(lw.count);
-            h.write_u64(lw.p50);
-            h.write_u64(lw.p99);
-        }
-    }
-
-    /// Reconstructs a recorder from a serialized snapshot stream (the
-    /// decode mirror of [`WindowRecorder::snap`]); the stream carries
-    /// everything, so no pre-built skeleton recorder is needed.
+    /// Walks the recorder through a snapshot stream (see [`StateIo`]).
+    /// The stream carries everything, including the window length, so
+    /// reading overwrites the recorder whole.
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(r: &mut SnapReader<'_>) -> Result<WindowRecorder, SnapDecodeError> {
-        r.section("window-recorder")?;
-        let at = r.position();
-        let window_cycles = r.read_u64("window-recorder window_cycles")?;
-        if window_cycles == 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: "window-recorder window_cycles must be non-zero".to_string(),
-                at,
-            });
-        }
-        let mut rec = WindowRecorder::new(window_cycles);
-        rec.current_window = r.read_u64("window-recorder current_window")?;
-        rec.current_value = r.read_u64("window-recorder current_value")?;
-        let n = r.read_usize("window-recorder windows len")?;
-        for _ in 0..n {
-            rec.windows
-                .push(r.read_u64("window-recorder window value")?);
-        }
-        rec.lat_scratch = if r.read_bool("window-recorder scratch flag")? {
-            let mut s = LatencyStats::new();
-            s.snap_load(r)?;
-            Some(s)
-        } else {
-            None
-        };
-        let m = r.read_usize("window-recorder latency windows len")?;
-        for _ in 0..m {
-            rec.lat_windows.push(WindowLatency {
-                count: r.read_u64("window-latency count")?,
-                p50: r.read_u64("window-latency p50")?,
-                p99: r.read_u64("window-latency p99")?,
-            });
-        }
-        Ok(rec)
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    pub(crate) fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("window-recorder")?;
+        let at = io.position();
+        io.u64(&mut self.window_cycles)?;
+        io.ensure(self.window_cycles > 0, at, || {
+            "window-recorder window_cycles must be non-zero".to_string()
+        })?;
+        io.u64(&mut self.current_window)?;
+        io.u64(&mut self.current_value)?;
+        cow_vec(io, &mut self.windows, 8, |io, w| io.u64(w))?;
+        io.option(&mut self.lat_scratch, |io, s| s.state(io))?;
+        cow_vec(io, &mut self.lat_windows, 24, |io, lw| {
+            io.u64(&mut lw.count)?;
+            io.u64(&mut lw.p50)?;
+            io.u64(&mut lw.p99)
+        })
+    }
+}
+
+/// Walks a length-prefixed [`CowVec`] whose items take at least
+/// `min_bytes` stream bytes each. Reading replaces the vector; writing
+/// walks copies, so a series shared with forks is never cloned.
+fn cow_vec<T: Copy + Default>(
+    io: &mut StateIo,
+    v: &mut CowVec<T>,
+    min_bytes: usize,
+    mut item: impl FnMut(&mut StateIo, &mut T) -> Result<(), SnapDecodeError>,
+) -> Result<(), SnapDecodeError> {
+    let mut n = v.len();
+    io.len(&mut n, min_bytes)?;
+    if io.is_reading() {
+        let items = v.make_mut();
+        items.clear();
+        items.resize(n, T::default());
+        items.iter_mut().try_for_each(|x| item(io, x))
+    } else {
+        v.iter().try_for_each(|&x| item(io, &mut { x }))
     }
 }
 

@@ -27,7 +27,7 @@ use crate::master::{Master, MasterKind, MasterStats, TrafficSource};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, Cycle, Freq};
 use crate::trace::{ChromeTraceBuilder, Trace};
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{ForkCtx, SnapDecodeError, StateIo};
 
 /// Top-level SoC parameters.
 #[derive(Debug, Clone, Default)]
@@ -85,22 +85,16 @@ pub trait Controller {
         None
     }
 
-    /// Feeds this controller's architectural state into a snapshot
-    /// fingerprint; the default writes only the label.
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section(self.label());
-    }
-
-    /// Restores this controller's state from a serialized snapshot
-    /// stream (the decode mirror of [`Controller::snap_state`]). The
-    /// default refuses with a diagnostic
-    /// [`SnapDecodeError::Unsupported`].
+    /// Walks this controller's architectural state through a snapshot
+    /// stream (see [`StateIo`]). The default writes only the label and
+    /// refuses to load with a diagnostic [`SnapDecodeError::Unsupported`].
     ///
     /// # Errors
     ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    fn snap_load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        Err(SnapDecodeError::unsupported(self.label()))
+    /// When reading, any [`SnapDecodeError`] aborts the whole load.
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.save_only(self.label())?;
+        io.section(self.label())
     }
 }
 

@@ -23,6 +23,17 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
+/// Cycle stamps travel in snapshot streams as their raw count.
+impl fgqos_snap::Word for Cycle {
+    fn to_word(self) -> u64 {
+        self.0
+    }
+
+    fn from_word(word: u64) -> Self {
+        Cycle(word)
+    }
+}
+
 impl Cycle {
     /// The instant of simulation reset.
     pub const ZERO: Cycle = Cycle(0);

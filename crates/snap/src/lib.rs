@@ -1,13 +1,20 @@
 //! Snapshot/fork primitives shared by the simulator and its drivers.
 //!
 //! The crate is deliberately tiny and dependency-free: it provides the
-//! three mechanisms every snapshottable component needs, without knowing
+//! mechanisms every snapshottable component needs, without knowing
 //! anything about the components themselves.
 //!
+//! - [`StateIo`] — the one codec: a component states its stream layout
+//!   once, in a `state(&mut self, io)` walk that calls one field method
+//!   per field. A writing walk folds the fields through a
+//!   [`StateHasher`]; a reading walk overwrites them from the recorded
+//!   stream and verifies configuration (`fixed_*`) against the
+//!   freshly built skeleton it loads into.
 //! - [`StateHasher`] — a byte-stable FNV-1a stream over architectural
-//!   state. Components feed their fields through typed `write_*` calls;
-//!   two states are considered identical iff their streams are identical.
-//!   Section tags delimit components so a mismatch is attributable.
+//!   state; two states are considered identical iff their streams are
+//!   identical. Section tags delimit components so a mismatch is
+//!   attributable. [`fnv64`] is the same hash over a byte slice, and
+//!   the one FNV-1a of the workspace (cache keys, hunt family names).
 //! - [`ForkCtx`] / [`SharedFork`] — pointer-identity remapping of shared
 //!   handles (`Arc<RegFile>`, `Arc<Mutex<GroupState>>`, …). When a Soc is
 //!   forked, every `Arc` that was shared between two components (or
@@ -19,16 +26,19 @@
 //!   snapshot does not copy N × the warm-up history until a fork writes.
 //!
 //! [`SnapshotError`] is the common error type for fallible snapshot and
-//! fork operations.
+//! fork operations; [`SnapDecodeError`] for decoding streams and blobs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod io;
 pub mod typed;
 pub mod wire;
 
+pub use io::{StateIo, Word};
 pub use typed::{FieldKind, FieldSpan, TypedSnapshot};
-pub use wire::{BlobStore, SnapDecodeError, SnapReader, SnapshotBlob};
+use wire::SnapReader;
+pub use wire::{BlobStore, SnapDecodeError, SnapshotBlob};
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -43,15 +53,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hashes `bytes` with FNV-1a 64 starting from the offset basis.
 ///
-/// The same function the serve-side result cache uses; exposed here so
-/// snapshot fingerprints and cache keys share one definition.
+/// The one definition behind snapshot fingerprints, blob checksums and
+/// the serve-side result cache keys.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = StateHasher::new();
+    h.fold(bytes);
+    h.finish()
 }
 
 /// A byte-stable FNV-1a 64 stream over architectural state.
@@ -93,7 +100,7 @@ impl StateHasher {
 
     /// A hasher that additionally captures every folded byte, so the
     /// hash stream doubles as a serialization wire format: the recorded
-    /// bytes replayed through a [`SnapReader`] reconstruct exactly the
+    /// bytes replayed through [`StateIo::reading`] reconstruct exactly the
     /// state that produced this fingerprint.
     pub fn recording() -> Self {
         StateHasher {

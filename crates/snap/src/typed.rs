@@ -3,10 +3,10 @@
 //! A [`TypedSnapshot`] is the recorded snapshot byte stream of a
 //! quiesced machine plus a map of which byte spans hold *semantic*
 //! fields — absolute cycle stamps and monotone counters — written
-//! through the typed methods of
-//! [`StateHasher`](crate::StateHasher). Everything outside those spans
-//! is plain configuration/bounded state that must repeat byte-for-byte
-//! for two boundaries to be the same machine state.
+//! through the `cycle` and `counter_*` fields of a
+//! [`StateIo`](crate::StateIo) walk. Everything outside those spans is
+//! plain configuration/bounded state that must repeat byte-for-byte for
+//! two boundaries to be the same machine state.
 //!
 //! Three operations make periodic steady states exploitable:
 //!
@@ -29,6 +29,8 @@
 //! wrapping-`u32`, saturating-`u32`), so the merged stream is
 //! bit-identical to the cycle-by-cycle run even across generation
 //! wraparound or register-mirror saturation.
+
+use crate::StateHasher;
 
 /// Semantic class of one typed field span in a snapshot stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +64,8 @@ pub struct FieldSpan {
 /// [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedSnapshot {
-    /// The full recorded snapshot stream (loadable by a `SnapReader`).
+    /// The full recorded snapshot stream (loadable by a reading
+    /// [`StateIo`](crate::StateIo)).
     pub bytes: Vec<u8>,
     /// Typed spans in stream order; bytes outside them are plain.
     pub fields: Vec<FieldSpan>,
@@ -83,26 +86,6 @@ fn u32_at(bytes: &[u8], off: usize) -> u32 {
 
 fn u128_at(bytes: &[u8], off: usize) -> u128 {
     u128::from_le_bytes(bytes[off..off + 16].try_into().expect("span in bounds"))
-}
-
-/// Incremental FNV-1a 64 fold (shared definition with [`crate::fnv64`]).
-struct Fold(u64);
-
-impl Fold {
-    fn new() -> Self {
-        Fold(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
 }
 
 impl TypedSnapshot {
@@ -130,15 +113,15 @@ impl TypedSnapshot {
     /// to 0, so the pending-wake structure is what distinguishes two
     /// different phases of the same window.
     pub fn rebased_key(&self, base: u64, wake_offsets: &[u64]) -> u64 {
-        let mut h = Fold::new();
+        let mut h = StateHasher::new();
         let mut cursor = 0usize;
         for f in &self.fields {
-            h.bytes(&self.bytes[cursor..f.offset]);
-            h.bytes(&[f.kind as u8 + 1]);
+            h.fold(&self.bytes[cursor..f.offset]);
+            h.write_u8(f.kind as u8 + 1);
             if f.kind == FieldKind::Cycle {
                 let v = u64_at(&self.bytes, f.offset);
                 // `u64::MAX` is the "never" sentinel — base-independent.
-                h.u64(if v == u64::MAX {
+                h.write_u64(if v == u64::MAX {
                     v
                 } else {
                     v.saturating_sub(base)
@@ -146,12 +129,12 @@ impl TypedSnapshot {
             }
             cursor = f.offset + f.len;
         }
-        h.bytes(&self.bytes[cursor..]);
-        h.u64(wake_offsets.len() as u64);
+        h.fold(&self.bytes[cursor..]);
+        h.write_u64(wake_offsets.len() as u64);
         for &w in wake_offsets {
-            h.u64(w);
+            h.write_u64(w);
         }
-        h.0
+        h.finish()
     }
 
     /// Verifies that `self` (at `c₁ + period`) is exactly the time
@@ -236,7 +219,6 @@ impl TypedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StateHasher;
 
     /// A toy component at absolute cycle `now`: one config word, one
     /// advancing stamp, one frozen stamp, counters of every flavour.

@@ -4,9 +4,10 @@
 //! canonical, platform-stable byte order over architectural state; this
 //! module makes that stream durable:
 //!
-//! - [`SnapReader`] — the decoding mirror of the hasher's typed
-//!   `write_*` calls, with bounds-checked reads and diagnostic errors
-//!   ([`SnapDecodeError`]) instead of panics.
+//! - `SnapReader` — the decoding mirror of the hasher's typed `write_*`
+//!   calls behind [`StateIo::reading`](crate::StateIo::reading), with
+//!   bounds-checked reads and diagnostic errors ([`SnapDecodeError`])
+//!   instead of panics.
 //! - [`SnapshotBlob`] — a versioned, checksummed container carrying a
 //!   recorded state stream plus the scenario recipe that rebuilds the
 //!   structural skeleton the stream is loaded into.
@@ -169,7 +170,7 @@ impl std::error::Error for SnapDecodeError {}
 /// captured with [`StateHasher::recording`](crate::StateHasher::recording)
 /// decodes field-for-field in the same order it was written.
 #[derive(Debug)]
-pub struct SnapReader<'a> {
+pub(crate) struct SnapReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }

@@ -13,7 +13,7 @@ use crate::spec::{AddressPattern, SpecSource, TrafficSpec};
 use fgqos_sim::axi::{Dir, Response};
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 use std::fmt;
 
 /// A benchmark kernel with a fixed memory-phase model.
@@ -262,55 +262,29 @@ impl TrafficSource for KernelSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("kernel-source");
-        h.write_usize(self.phases.len());
-        h.write_u64(self.iterations);
-        h.write_u64(self.seed);
-        h.write_u64(self.iter);
-        h.write_usize(self.phase);
-        match &self.current {
-            Some(cur) => {
-                h.write_bool(true);
-                cur.snap_state(h);
-            }
-            None => h.write_bool(false),
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("kernel-source")?;
+        io.fixed_usize(self.phases.len(), "kernel phase count")?;
+        io.u64(&mut self.iterations)?;
+        io.u64(&mut self.seed)?;
+        io.u64(&mut self.iter)?;
+        let at = io.position();
+        io.usize(&mut self.phase)?;
+        io.ensure(self.phase < self.phases.len(), at, || {
+            format!("kernel phase index {} out of range", self.phase)
+        })?;
+        let mut running = self.current.is_some();
+        io.bool(&mut running)?;
+        if !running {
+            self.current = None;
+            return Ok(());
         }
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("kernel-source")?;
-        let at = r.position();
-        let phases = r.read_usize("kernel phase count")?;
-        if phases != self.phases.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "kernel phase count {phases} differs from built kernel ({})",
-                    self.phases.len()
-                ),
-                at,
-            });
-        }
-        self.iterations = r.read_u64("kernel iterations")?;
-        self.seed = r.read_u64("kernel seed")?;
-        self.iter = r.read_u64("kernel iter")?;
-        let at = r.position();
-        let phase = r.read_usize("kernel phase index")?;
-        if phase >= self.phases.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("kernel phase index {phase} out of range"),
-                at,
-            });
-        }
-        self.phase = phase;
         // The in-flight phase carries its own spec (a re-seeded copy of
-        // `phases[self.phase]`), so it is rebuilt wholly from the stream.
-        self.current = if r.read_bool("kernel current flag")? {
-            Some(SpecSource::snap_load_new(r)?)
-        } else {
-            None
-        };
-        Ok(())
+        // `phases[phase]`), which reading overwrites whole.
+        let placeholder = self.phases[self.phase];
+        self.current
+            .get_or_insert_with(|| SpecSource::new(placeholder, 0))
+            .state(io)
     }
 }
 

@@ -11,7 +11,7 @@ use fgqos_sim::axi::{Dir, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::leap::LeapSupport;
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, SnapDecodeError, StateIo};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,7 +32,7 @@ pub enum AddressPattern {
 }
 
 /// On/off burst shaping of a traffic phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BurstShape {
     /// Length of the active (issuing) phase in cycles.
     pub on_cycles: u64,
@@ -235,79 +235,6 @@ impl SpecSource {
         }
     }
 
-    /// Rebuilds a source wholly from a serialized snapshot stream (the
-    /// decode mirror of its `snap_state`). The spec itself travels in the
-    /// stream, so this also reconstructs the in-flight phase of a
-    /// [`KernelSource`](crate::kernels::KernelSource), whose phase spec
-    /// is not part of the rebuilt skeleton.
-    pub(crate) fn snap_load_new(r: &mut SnapReader<'_>) -> Result<SpecSource, SnapDecodeError> {
-        r.section("spec-source")?;
-        let spec_at = r.position();
-        let base = r.read_u64("spec base")?;
-        let footprint = r.read_u64("spec footprint")?;
-        let txn_bytes = r.read_u64("spec txn_bytes")?;
-        let dir = if r.read_bool("spec dir")? {
-            Dir::Write
-        } else {
-            Dir::Read
-        };
-        let write_ratio = r.read_f64("spec write_ratio")?;
-        let tag_at = r.position();
-        let pattern = match r.read_u8("spec pattern tag")? {
-            0 => AddressPattern::Sequential,
-            1 => AddressPattern::Strided {
-                stride: r.read_u64("spec stride")?,
-            },
-            2 => AddressPattern::Random,
-            t => {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("unknown address-pattern tag {t}"),
-                    at: tag_at,
-                })
-            }
-        };
-        let gap = r.read_u64("spec gap")?;
-        let think = r.read_u64("spec think")?;
-        let total = r.read_u64("spec total")?;
-        let burst = if r.read_bool("spec burst flag")? {
-            Some(BurstShape {
-                on_cycles: r.read_u64("spec burst on_cycles")?,
-                off_cycles: r.read_u64("spec burst off_cycles")?,
-            })
-        } else {
-            None
-        };
-        let spec = TrafficSpec {
-            base,
-            footprint,
-            txn_bytes,
-            dir,
-            write_ratio,
-            pattern,
-            gap,
-            think,
-            total,
-            burst,
-        };
-        if let Err(e) = spec.validate() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("serialized TrafficSpec invalid: {e}"),
-                at: spec_at,
-            });
-        }
-        let mut words = [0u64; 4];
-        for w in &mut words {
-            *w = r.read_u64("spec rng word")?;
-        }
-        Ok(SpecSource {
-            spec,
-            rng: SmallRng::from_state(words),
-            cursor: r.read_u64("spec cursor")?,
-            issued: r.read_u64("spec issued")?,
-            next_ready: Cycle::new(r.read_u64("spec next_ready")?),
-        })
-    }
-
     /// Shifts `t` into the next on-phase if burst shaping is active.
     fn align_to_burst(&self, t: Cycle) -> Cycle {
         let Some(b) = self.spec.burst else { return t };
@@ -381,44 +308,64 @@ impl TrafficSource for SpecSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("spec-source");
-        let s = &self.spec;
-        h.write_u64(s.base);
-        h.write_u64(s.footprint);
-        h.write_u64(s.txn_bytes);
-        h.write_bool(s.dir == Dir::Write);
-        h.write_f64(s.write_ratio);
-        match s.pattern {
-            AddressPattern::Sequential => h.write_u8(0),
-            AddressPattern::Strided { stride } => {
-                h.write_u8(1);
-                h.write_u64(stride);
+    fn state(&mut self, io: &mut StateIo) -> Result<(), SnapDecodeError> {
+        io.section("spec-source")?;
+        // The spec travels in the stream, so reading also rebuilds the
+        // in-flight phase of a `KernelSource`, whose phase spec is not
+        // part of the rebuilt skeleton.
+        let spec_at = io.position();
+        let s = &mut self.spec;
+        io.u64(&mut s.base)?;
+        io.u64(&mut s.footprint)?;
+        io.u64(&mut s.txn_bytes)?;
+        s.dir.state(io)?;
+        io.f64(&mut s.write_ratio)?;
+        let tag_at = io.position();
+        let (mut tag, mut stride) = match s.pattern {
+            AddressPattern::Sequential => (0, 0),
+            AddressPattern::Strided { stride } => (1, stride),
+            AddressPattern::Random => (2, 0),
+        };
+        io.u8(&mut tag)?;
+        if tag == 1 {
+            io.u64(&mut stride)?;
+        }
+        s.pattern = match tag {
+            0 => AddressPattern::Sequential,
+            1 => AddressPattern::Strided { stride },
+            2 => AddressPattern::Random,
+            t => {
+                return Err(SnapDecodeError::BadValue {
+                    what: format!("unknown address-pattern tag {t}"),
+                    at: tag_at,
+                })
             }
-            AddressPattern::Random => h.write_u8(2),
-        }
-        h.write_u64(s.gap);
-        h.write_u64(s.think);
-        h.write_u64(s.total);
-        match s.burst {
-            None => h.write_bool(false),
-            Some(b) => {
-                h.write_bool(true);
-                h.write_u64(b.on_cycles);
-                h.write_u64(b.off_cycles);
+        };
+        io.u64(&mut s.gap)?;
+        io.u64(&mut s.think)?;
+        io.u64(&mut s.total)?;
+        io.option(&mut s.burst, |io, b| {
+            io.u64(&mut b.on_cycles)?;
+            io.u64(&mut b.off_cycles)
+        })?;
+        if io.is_reading() {
+            if let Err(e) = s.validate() {
+                return Err(SnapDecodeError::BadValue {
+                    what: format!("serialized TrafficSpec invalid: {e}"),
+                    at: spec_at,
+                });
             }
         }
-        for w in self.rng.state() {
-            h.write_u64(w);
+        let mut words = self.rng.state();
+        for w in &mut words {
+            io.u64(w)?;
         }
-        h.write_u64(self.cursor);
-        h.write_counter_u64(self.issued);
-        h.write_cycle(self.next_ready.get());
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        *self = SpecSource::snap_load_new(r)?;
-        Ok(())
+        if io.is_reading() {
+            self.rng = SmallRng::from_state(words);
+        }
+        io.u64(&mut self.cursor)?;
+        io.counter_u64(&mut self.issued)?;
+        io.cycle(&mut self.next_ready)
     }
 }
 

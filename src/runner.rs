@@ -19,7 +19,6 @@ use crate::scenario::{
 use fgqos_bench::report::{Block, Report};
 use fgqos_core::fabric::QosFabric;
 use fgqos_core::program::ProgramOp;
-use fgqos_serve::cache::fnv64;
 use fgqos_serve::live::{BoundaryCmd, JournalEntry, LiveSession, LIVE_SCHEMA, LIVE_VERSION};
 #[cfg(test)]
 use fgqos_serve::protocol::BatchKind;
@@ -30,7 +29,7 @@ use fgqos_sim::json::Value;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, WindowBoundary};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{BlobStore, ForkCtx, SnapshotBlob, StateHasher};
+use fgqos_sim::{fnv64, BlobStore, ForkCtx, SnapshotBlob, StateHasher};
 use std::sync::Arc;
 
 /// How to run a scenario.
@@ -1010,7 +1009,7 @@ pub fn live_run(
         journal.extend(applied);
         !aborted
     };
-    let run = plan.execute(&spec, Some((opts.window, &mut observe)))?;
+    let mut run = plan.execute(&spec, Some((opts.window, &mut observe)))?;
     let replay_scenario = replay_scenario_text(text, &journal);
     let fingerprint = run.soc.fingerprint();
     let report = plan.report(&spec, &run, &LIVE, &replay_scenario, &[]);
@@ -1034,7 +1033,7 @@ pub fn live_replay_report(
 ) -> Result<(Report, u64), RunError> {
     let spec = parse_live(replay_text, opts)?;
     let plan = RunPlan::new(Source::Cold(opts.naive, opts.leap), opts.cycles, None);
-    let run = plan.execute(&spec, None)?;
+    let mut run = plan.execute(&spec, None)?;
     let report = plan.report(&spec, &run, &LIVE, replay_text, &[]);
     Ok((report, run.soc.fingerprint()))
 }
