@@ -115,7 +115,10 @@ impl StateHasher {
     /// from the semantic writers ([`write_cycle`](Self::write_cycle),
     /// `write_counter_*`). The captured [`TypedSnapshot`] supports the
     /// steady-state leap algebra: time-rebased fingerprint keys,
-    /// period-delta verification and `×k` delta application.
+    /// period-delta verification and `×k` delta application. A typed
+    /// record is keyed by [`TypedSnapshot::rebased_key`], so this hasher
+    /// keeps no digest: [`finish`](Self::finish) stays at the offset
+    /// basis and the walk skips the per-byte fold.
     pub fn typed_recording() -> Self {
         StateHasher {
             hash: FNV_OFFSET,
@@ -152,9 +155,11 @@ impl StateHasher {
     /// Folds raw bytes without a length prefix (building block for the
     /// typed writers; prefer those or [`write_bytes`](Self::write_bytes)).
     fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        if self.typed.is_none() {
+            for &b in bytes {
+                self.hash ^= b as u64;
+                self.hash = self.hash.wrapping_mul(FNV_PRIME);
+            }
         }
         self.bytes += bytes.len() as u64;
         if let Some(buf) = &mut self.record {
@@ -257,7 +262,8 @@ impl StateHasher {
         self.fold(b);
     }
 
-    /// The current 64-bit digest.
+    /// The current 64-bit digest (see [`StateHasher::typed_recording`]
+    /// for the one mode that keeps none).
     pub fn finish(&self) -> u64 {
         self.hash
     }
