@@ -1,17 +1,26 @@
 //! A small blocking client for the `fgqos.serve` protocol.
 //!
 //! This is what `fgqos submit` and the integration tests use: one TCP
-//! connection, synchronous request/response, polling for results. It
-//! has no async machinery on purpose — the protocol is strictly
+//! connection, synchronous request/response. Waiting for a job is a
+//! `result` request that the server holds until the job finishes
+//! (`wait_ms`), so a finished report costs one round trip. It has no
+//! async machinery on purpose — the protocol is strictly
 //! one-response-per-request, so a `BufReader` over the socket is all
 //! the state a client needs.
 
 use crate::live::LIVE_SCHEMA;
-use crate::protocol::{BatchSpec, ControlSet, LiveSpec, MetricsFormat, SERVE_SCHEMA};
+use crate::protocol::{
+    BatchSpec, ControlSet, LiveSpec, MetricsFormat, MAX_RESULT_WAIT_MS, SERVE_SCHEMA,
+};
 use fgqos_sim::json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+/// How long [`Client::wait_report`] pauses after a pending answer that
+/// came back before its `wait_ms` ran out: the sign of a server that
+/// ignores the field, which would otherwise be polled in a tight loop.
+const LEGACY_PAUSE: Duration = Duration::from_millis(2);
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -169,7 +178,7 @@ impl Client {
 
     /// Submits a warm-start sweep slice (protocol v2).
     ///
-    /// Every point gets its own job id; poll them with
+    /// Every point gets its own job id; wait on them with
     /// [`wait_report`](Self::wait_report) like ordinary submissions.
     pub fn submit_batch(
         &mut self,
@@ -256,23 +265,38 @@ impl Client {
         self.request(&req)
     }
 
-    /// Polls until the job's `Report` JSON document is available.
+    /// Fetches a job's result response, letting the server hold the
+    /// request for up to `wait_ms` (capped at
+    /// [`MAX_RESULT_WAIT_MS`]) while the job is queued or running. The
+    /// response is that of [`result`](Self::result) at the moment the
+    /// job finished or the wait ran out.
+    pub fn result_within(&mut self, job: u64, wait_ms: u64) -> Result<Value, ClientError> {
+        let mut req = Value::obj();
+        req.set("op", Value::str("result"));
+        req.set("job", Value::from(job));
+        req.set("wait_ms", Value::from(wait_ms));
+        self.request(&req)
+    }
+
+    /// Waits until the job's `Report` JSON document is available.
     ///
     /// Returns the embedded `"report"` value. Fails fast on `failed` /
     /// `expired` jobs; gives up after `timeout`.
     ///
-    /// Polling backs off adaptively: most scenario runs finish in well
-    /// under a millisecond, so the first re-poll comes after ~100 µs and
-    /// the interval doubles up to a 5 ms ceiling. Short jobs no longer
-    /// pay a fixed 5 ms latency floor, while long jobs converge to the
-    /// old polling rate instead of hammering the server.
+    /// Each request asks the server to hold it until the job finishes
+    /// (`wait_ms`, at most [`MAX_RESULT_WAIT_MS`] per request), so a job
+    /// that finishes is seen the moment it does, in one round trip. A
+    /// server that predates `wait_ms` answers a pending job at once;
+    /// the client then pauses 2 ms before asking again rather than
+    /// spin.
     pub fn wait_report(&mut self, job: u64, timeout: Duration) -> Result<Value, ClientError> {
-        const FIRST_POLL: Duration = Duration::from_micros(100);
-        const MAX_POLL: Duration = Duration::from_millis(5);
         let give_up = Instant::now() + timeout;
-        let mut backoff = FIRST_POLL;
         loop {
-            let doc = Self::expect_ok(self.result(job)?)?;
+            let asked = Instant::now();
+            let wait = give_up.saturating_duration_since(asked);
+            // Round up so a sub-millisecond remainder still waits.
+            let wait_ms = (wait.as_micros().div_ceil(1_000) as u64).min(MAX_RESULT_WAIT_MS);
+            let doc = Self::expect_ok(self.result_within(job, wait_ms)?)?;
             match doc.get("state").and_then(Value::as_str) {
                 Some("done") => {
                     return doc
@@ -290,8 +314,9 @@ impl Client {
             if Instant::now() >= give_up {
                 return Err(ClientError::Timeout);
             }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(MAX_POLL);
+            if asked.elapsed() < Duration::from_millis(wait_ms) {
+                std::thread::sleep(LEGACY_PAUSE);
+            }
         }
     }
 

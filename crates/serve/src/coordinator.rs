@@ -112,6 +112,9 @@ type JobSlot = (JobState, Option<Arc<Value>>);
 pub struct CoordinatorCore {
     workers: Mutex<Vec<Arc<WorkerEntry>>>,
     jobs: Mutex<HashMap<u64, JobSlot>>,
+    /// Signalled whenever a job in `jobs` finishes or fails; waiting
+    /// `result` requests park on it.
+    done: Condvar,
     next_job: AtomicU64,
     /// The fleet-level content-addressed result cache.
     pub cache: ResultCache,
@@ -123,15 +126,20 @@ pub struct CoordinatorCore {
     requeued: AtomicU64,
     stop_heartbeat: AtomicBool,
     forward_read_timeout: Duration,
+    /// Longest single wait a forward asks of a worker: at most one
+    /// heartbeat, and well inside `forward_read_timeout`, so a worker
+    /// the heartbeat marks dead is noticed between waits.
+    forward_wait: Duration,
     frames: AtomicU64,
     malformed: AtomicU64,
 }
 
 impl CoordinatorCore {
-    fn new(cache: ResultCache, forward_read_timeout: Duration) -> Self {
+    fn new(cache: ResultCache, forward_read_timeout: Duration, heartbeat: Duration) -> Self {
         CoordinatorCore {
             workers: Mutex::new(Vec::new()),
             jobs: Mutex::new(HashMap::new()),
+            done: Condvar::new(),
             next_job: AtomicU64::new(0),
             cache,
             flight: Mutex::new(FlightState {
@@ -145,6 +153,7 @@ impl CoordinatorCore {
             requeued: AtomicU64::new(0),
             stop_heartbeat: AtomicBool::new(false),
             forward_read_timeout,
+            forward_wait: heartbeat.min(forward_read_timeout / 2),
             frames: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
         }
@@ -200,6 +209,7 @@ impl CoordinatorCore {
             .expect("coordinator poisoned")
             .insert(id, (JobState::Done, Some(report)));
         self.executed.fetch_add(1, Ordering::Relaxed);
+        self.done.notify_all();
     }
 
     fn fail_job(&self, id: u64, message: String) {
@@ -208,6 +218,7 @@ impl CoordinatorCore {
             .expect("coordinator poisoned")
             .insert(id, (JobState::Failed(message), None));
         self.failed.fetch_add(1, Ordering::Relaxed);
+        self.done.notify_all();
     }
 
     /// Reserves `n` forward slots, refusing when draining.
@@ -234,41 +245,24 @@ impl CoordinatorCore {
         Ok(client)
     }
 
-    /// Polls a forwarded job on `client` until it resolves, watching
-    /// the worker's liveness between polls so a heartbeat-detected
-    /// death aborts promptly.
-    fn poll_report(
+    /// Waits for a forwarded job on `client` until it resolves, in
+    /// parked waits of at most `forward_wait` each, checking the
+    /// worker's liveness between them so a heartbeat-detected death
+    /// aborts promptly.
+    fn await_report(
         &self,
         worker: &WorkerEntry,
         client: &mut Client,
         job: u64,
     ) -> Result<Value, Forward> {
-        let mut backoff = Duration::from_micros(200);
         loop {
             if !worker.alive.load(Ordering::Relaxed) {
                 return Err(Forward::Down("worker marked dead by heartbeat".into()));
             }
-            let doc = client.result(job).map_err(classify)?;
-            if doc.get("ok") != Some(&Value::Bool(true)) {
-                let message = doc
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified worker error")
-                    .to_string();
-                return Err(Forward::Fail(message));
+            match client.wait_report(job, self.forward_wait) {
+                Err(ClientError::Timeout) => {}
+                outcome => return outcome.map_err(classify),
             }
-            match doc.get("state").and_then(Value::as_str) {
-                Some("done") => {
-                    return doc
-                        .get("report")
-                        .cloned()
-                        .ok_or_else(|| Forward::Down("done job missing its report".into()))
-                }
-                Some("queued") | Some("running") => {}
-                other => return Err(Forward::Fail(format!("unexpected job state {other:?}"))),
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(5));
         }
     }
 
@@ -282,7 +276,7 @@ impl CoordinatorCore {
         let ack = client
             .submit(&spec.scenario, spec.cycles, &opts)
             .map_err(classify)?;
-        self.poll_report(worker, &mut client, ack.job)
+        self.await_report(worker, &mut client, ack.job)
     }
 
     fn forward_batch(&self, worker: &WorkerEntry, spec: &BatchSpec) -> Result<Vec<Value>, Forward> {
@@ -302,7 +296,7 @@ impl CoordinatorCore {
         }
         ack.jobs
             .iter()
-            .map(|&job| self.poll_report(worker, &mut client, job))
+            .map(|&job| self.await_report(worker, &mut client, job))
             .collect()
     }
 
@@ -410,13 +404,14 @@ pub fn start_coordinator(cfg: CoordinatorConfig) -> io::Result<CoordinatorHandle
         Some(dir) => ResultCache::persistent(dir)?,
         None => ResultCache::new(),
     };
+    let interval = Duration::from_millis(cfg.heartbeat_ms.max(10));
     let core = Arc::new(CoordinatorCore::new(
         cache,
         Duration::from_millis(cfg.forward_read_timeout_ms.max(1)),
+        interval,
     ));
     let heartbeat = {
         let core = Arc::clone(&core);
-        let interval = Duration::from_millis(cfg.heartbeat_ms.max(10));
         std::thread::spawn(move || {
             while !core.stop_heartbeat.load(Ordering::Relaxed) {
                 for worker in core.live_workers() {
@@ -536,12 +531,15 @@ impl Backend for CoordinatorCore {
             .map(|(s, _)| (s.clone(), None))
     }
 
-    fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .get(&id)
-            .cloned()
+    fn result(&self, id: u64, wait: Duration) -> Option<(JobState, Option<Arc<Value>>)> {
+        let jobs = self.jobs.lock().expect("coordinator poisoned");
+        let (jobs, _) = self
+            .done
+            .wait_timeout_while(jobs, wait, |jobs| {
+                jobs.get(&id).is_some_and(|(state, _)| state.is_pending())
+            })
+            .expect("coordinator poisoned");
+        jobs.get(&id).cloned()
     }
 
     /// Fleet metrics under stable `coordinator.*` names (plus the
@@ -666,6 +664,7 @@ impl Backend for CoordinatorCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MetricsFormat;
     use crate::server::{start, ServeConfig, ServerHandle};
     use crate::Executor;
     use fgqos_bench::report::Report;
@@ -731,6 +730,51 @@ mod tests {
     }
 
     #[test]
+    fn parked_result_returns_done_in_one_frame() {
+        let slow: Executor = Arc::new(|spec: &JobSpec| {
+            std::thread::sleep(Duration::from_millis(50));
+            let mut r = Report::new("slow");
+            r.note(format!("cycles={}", spec.cycles));
+            Ok(r)
+        });
+        let w = start(
+            ServeConfig {
+                threads: 1,
+                ..ServeConfig::default()
+            },
+            slow,
+        )
+        .expect("bind worker");
+        let c = coordinator();
+        c.core()
+            .register_worker(&w.addr().to_string())
+            .expect("registers");
+        let mut client = Client::connect(c.addr()).expect("connect");
+        let frames = |client: &mut Client| {
+            let doc = client.metrics(MetricsFormat::Json).expect("metrics");
+            doc.get("metrics")
+                .and_then(|m| m.get("metrics"))
+                .and_then(|m| m.get("coordinator.frames"))
+                .and_then(Value::as_u64)
+                .expect("frame counter")
+        };
+        let ack = client
+            .submit("s", 7, &SubmitOptions::default())
+            .expect("accepted");
+        let before = frames(&mut client);
+        let report = client
+            .wait_report(ack.job, Duration::from_secs(10))
+            .expect("forwarded job completes");
+        // The second metrics request is the other counted frame.
+        assert_eq!(frames(&mut client) - before, 2, "one parked result frame");
+        let plain = client.result(ack.job).expect("result answers");
+        assert_eq!(plain.get("report"), Some(&report));
+        client.shutdown().expect("drains");
+        c.join();
+        w.join();
+    }
+
+    #[test]
     fn register_refuses_unreachable_workers() {
         let c = coordinator();
         let err = c
@@ -743,13 +787,9 @@ mod tests {
         let ack = client
             .submit("s", 1, &SubmitOptions::default())
             .expect("submit is accepted");
-        let doc = loop {
-            let doc = client.result(ack.job).expect("result answers");
-            if doc.get("state").and_then(Value::as_str) != Some("running") {
-                break doc;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let doc = client
+            .result_within(ack.job, 1_000)
+            .expect("result answers");
         assert_eq!(doc.get("state").and_then(Value::as_str), Some("failed"));
         assert!(doc
             .get("error")
@@ -833,13 +873,7 @@ mod tests {
         assert_eq!(ack.jobs.len(), 5);
         assert!(ack.cached.iter().all(|c| !c));
         for &job in &ack.jobs {
-            let doc = loop {
-                let doc = client.result(job).expect("answers");
-                if doc.get("state").and_then(Value::as_str) != Some("running") {
-                    break doc;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
+            let doc = client.result_within(job, 1_000).expect("answers");
             assert_eq!(doc.get("state").and_then(Value::as_str), Some("failed"));
             assert!(doc
                 .get("error")

@@ -11,7 +11,7 @@ use crate::live::{ControlWrite, LiveRegistry, LiveSession, NextFrame};
 use crate::pool::{isolated, JobState};
 use crate::protocol::{
     error_response, parse_request, read_frame, response_head, BatchSpec, FrameError, JobSpec,
-    LiveSpec, MetricsFormat, Request,
+    LiveSpec, MetricsFormat, Request, MAX_RESULT_WAIT_MS,
 };
 use crate::LiveExecutor;
 use fgqos_sim::json::Value;
@@ -71,8 +71,10 @@ pub(crate) trait Backend: Send + Sync + 'static {
     /// A job's state, plus its queue position when the backend queues.
     fn status(&self, job: u64) -> Option<(JobState, Option<usize>)>;
 
-    /// A job's state plus its report once done.
-    fn result(&self, job: u64) -> Option<(JobState, Option<Arc<Value>>)>;
+    /// A job's state plus its report once done, held for up to `wait`
+    /// while the job is queued or running: it returns the moment the
+    /// job finishes. An unknown job answers `None` at once.
+    fn result(&self, job: u64, wait: Duration) -> Option<(JobState, Option<Arc<Value>>)>;
 
     /// The backend's metrics registry.
     fn metrics(&self) -> MetricsRegistry;
@@ -407,7 +409,12 @@ fn dispatch<B: Backend>(
                 resp
             }
         },
-        Request::Result { job } => match core.result(job) {
+        // The response bytes depend only on the state the job is in when
+        // the wait ends, never on how long it waited.
+        Request::Result { job, wait_ms } => match core.result(
+            job,
+            Duration::from_millis(wait_ms.unwrap_or(0).min(MAX_RESULT_WAIT_MS)),
+        ) {
             None => error_response("result", format!("unknown job {job}")),
             Some((state, report)) => match state {
                 JobState::Done => {

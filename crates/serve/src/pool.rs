@@ -10,7 +10,10 @@
 //!
 //! Lifecycle of a job: `queued → running → done | failed` (an executor
 //! panic is a failure, and the lane keeps serving), or `queued →
-//! expired` when its deadline passes before a worker picks it up. Shutdown is a *graceful drain*: no new submissions are accepted,
+//! expired` when its deadline passes before a worker picks it up. A
+//! `result` request may wait for the job to leave `queued`/`running`
+//! ([`ServeCore::wait_result`]); every such transition wakes it.
+//! Shutdown is a *graceful drain*: no new submissions are accepted,
 //! every already-queued job still executes, and
 //! [`ServeCore::drain`] returns only when the queue is empty and all
 //! workers are idle.
@@ -32,7 +35,7 @@ use fgqos_sim::metrics::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Lifecycle state of a submitted job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,6 +62,11 @@ impl JobState {
             JobState::Failed(_) => "failed",
             JobState::Expired => "expired",
         }
+    }
+
+    /// `true` while the job is still to finish (queued or running).
+    pub fn is_pending(&self) -> bool {
+        matches!(self, JobState::Queued | JobState::Running)
     }
 }
 
@@ -166,7 +174,12 @@ pub(crate) fn isolated<T>(
 /// `Arc<ServeCore>`.
 pub struct ServeCore {
     state: Mutex<PoolState>,
+    /// Wakes idle workers (and the drain). Waiting `result` requests
+    /// park on `done` instead, so a `notify_one` from `submit` always
+    /// lands on a worker.
     wakeup: Condvar,
+    /// Signalled whenever a job leaves `Queued`/`Running`.
+    done: Condvar,
     /// The content-addressed result cache.
     pub cache: ResultCache,
     /// The per-client ingress regulator bank.
@@ -204,6 +217,7 @@ impl ServeCore {
                 ..PoolState::default()
             }),
             wakeup: Condvar::new(),
+            done: Condvar::new(),
             cache,
             admission: AdmissionControl::new(admission),
             live: LiveRegistry::new(),
@@ -224,9 +238,23 @@ impl ServeCore {
         self.workers
     }
 
-    /// A finished job's report (`None` until it is done).
+    /// A job's state plus its report once done (`None` for an unknown
+    /// id).
     pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
+        self.wait_result(id, Duration::ZERO)
+    }
+
+    /// [`result`](Self::result), held for up to `wait` while the job is
+    /// queued or running: it returns as soon as the job finishes, fails
+    /// or expires.
+    pub fn wait_result(&self, id: u64, wait: Duration) -> Option<(JobState, Option<Arc<Value>>)> {
         let st = self.state.lock().expect("pool poisoned");
+        let (st, _) = self
+            .done
+            .wait_timeout_while(st, wait, |st| {
+                st.jobs.get(&id).is_some_and(|e| e.state.is_pending())
+            })
+            .expect("pool poisoned");
         let entry = st.jobs.get(&id)?;
         Some((entry.state.clone(), entry.report.clone()))
     }
@@ -275,6 +303,7 @@ impl ServeCore {
                 }
                 st.busy_workers -= 1;
                 self.wakeup.notify_all();
+                self.done.notify_all();
                 continue;
             }
             {
@@ -328,6 +357,7 @@ impl ServeCore {
             }
             st.busy_workers -= 1;
             self.wakeup.notify_all();
+            self.done.notify_all();
         }
     }
 
@@ -483,8 +513,8 @@ impl Backend for ServeCore {
         Some((entry.state.clone(), position))
     }
 
-    fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        ServeCore::result(self, id)
+    fn result(&self, id: u64, wait: Duration) -> Option<(JobState, Option<Arc<Value>>)> {
+        self.wait_result(id, wait)
     }
 
     /// Snapshot of the service's metrics under stable `serve.*` names,
@@ -612,7 +642,6 @@ impl Backend for ServeCore {
 mod tests {
     use super::*;
     use fgqos_bench::report::Report;
-    use std::time::Duration;
 
     fn spec(tag: &str) -> JobSpec {
         JobSpec {
@@ -658,14 +687,11 @@ mod tests {
     }
 
     fn wait_done(core: &ServeCore, id: u64) -> (JobState, Option<Arc<Value>>) {
-        for _ in 0..2_000 {
-            let (state, report) = core.result(id).expect("job exists");
-            if !matches!(state, JobState::Queued | JobState::Running) {
-                return (state, report);
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("job {id} never finished");
+        let (state, report) = core
+            .wait_result(id, Duration::from_secs(2))
+            .expect("job exists");
+        assert!(!state.is_pending(), "job {id} never finished");
+        (state, report)
     }
 
     #[test]
@@ -990,6 +1016,31 @@ mod tests {
             );
         }
         assert_eq!(core.drain().failed, 2);
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn parked_waiter_is_released_when_drain_runs_the_job() {
+        let core = Arc::new(ServeCore::new(1, AdmissionConfig::default()));
+        let (id, _) = core.submit(spec("parked"), None).unwrap();
+        let waiter = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || core.wait_result(id, Duration::from_secs(30)))
+        };
+        // Give the waiter time to park on the still-queued job.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        let workers = start(&core, 1, stub(Duration::ZERO));
+        assert_eq!(core.drain().executed, 1);
+        let (state, report) = waiter.join().unwrap().expect("job exists");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "publishing the job woke the waiter"
+        );
+        assert_eq!(state, JobState::Done);
+        assert!(report.is_some());
         for w in workers {
             w.join().unwrap();
         }

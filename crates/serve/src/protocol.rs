@@ -15,7 +15,7 @@
 //!  "warmup":1000000,"points":[{"period":1000,"budget":2048}],
 //!  "client":"alice","deadline_ms":5000}
 //! {"op":"status","job":1}
-//! {"op":"result","job":1}
+//! {"op":"result","job":1,"wait_ms":1000}
 //! {"op":"metrics","format":"json"}
 //! {"op":"ping"}
 //! {"op":"register_worker","addr":"127.0.0.1:34567"}
@@ -32,7 +32,13 @@
 //! required; the other fields default. `client` names the
 //! admission-control principal (defaulting to the peer address),
 //! `deadline_ms` bounds how long the job may sit in the queue before it
-//! expires unexecuted.
+//! expires unexecuted. `wait_ms` lets a `result` request wait on the
+//! server while its job is queued or running: the response is sent the
+//! moment the job finishes, or after `wait_ms` (capped at
+//! [`MAX_RESULT_WAIT_MS`]) with the job still pending. Either way its
+//! bytes are those of a plain `result` at that moment, so one round trip
+//! fetches a finished report. A server that predates the field ignores
+//! it and answers at once.
 //!
 //! Protocol v3 adds the fleet ops: `ping` is a liveness probe (used as
 //! the coordinator's heartbeat), `register_worker` announces a worker's
@@ -84,6 +90,9 @@ pub const SERVE_SCHEMA: &str = "fgqos.serve";
 /// live ops (`subscribe`, `control`, `journal`). All earlier requests
 /// are unchanged.
 pub const SERVE_VERSION: u64 = 4;
+/// Longest a `result` request's `wait_ms` holds it on the server; a
+/// larger value is clamped, so no connection is parked without bound.
+pub const MAX_RESULT_WAIT_MS: u64 = 1_000;
 /// Default cap on a single request frame, in bytes (newline included).
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 256 * 1024;
 /// Default telemetry window of a live run, in cycles (`subscribe`
@@ -294,6 +303,9 @@ pub enum Request {
     Result {
         /// Job id returned by `submit`.
         job: u64,
+        /// How long to hold the request while the job is pending, in
+        /// milliseconds (`None` answers at once).
+        wait_ms: Option<u64>,
     },
     /// Export the server's metrics registry.
     Metrics {
@@ -541,6 +553,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         }),
         "result" => Ok(Request::Result {
             job: req_u64(&doc, "job")?,
+            wait_ms: opt_u64(&doc, "wait_ms")?,
         }),
         "metrics" => {
             let format = match doc.get("format").and_then(Value::as_str) {
@@ -749,7 +762,17 @@ mod tests {
         );
         assert_eq!(
             parse_request(r#"{"op":"result","job":7}"#).unwrap(),
-            Request::Result { job: 7 }
+            Request::Result {
+                job: 7,
+                wait_ms: None
+            }
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"result","job":7,"wait_ms":250}"#).unwrap(),
+            Request::Result {
+                job: 7,
+                wait_ms: Some(250)
+            }
         );
         assert_eq!(
             parse_request(r#"{"op":"metrics"}"#).unwrap(),
@@ -911,6 +934,9 @@ mod tests {
                 .unwrap_err()
                 .contains("cycles")
         );
+        assert!(parse_request(r#"{"op":"result","job":1,"wait_ms":1.5}"#)
+            .unwrap_err()
+            .contains("wait_ms"));
     }
 
     #[test]

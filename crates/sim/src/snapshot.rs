@@ -192,12 +192,6 @@ impl Soc {
         })
     }
 
-    /// Reconstructs a runnable Soc from a snapshot (a fresh fork; the
-    /// snapshot remains usable for further forks).
-    pub fn restore(snapshot: &SocSnapshot) -> Soc {
-        snapshot.fork()
-    }
-
     /// Loads a serialized state stream (see [`SocSnapshot::state_bytes`])
     /// into this Soc, which must be a freshly built skeleton of the same
     /// scenario: the state walk that fingerprints the Soc, reading.
@@ -453,7 +447,7 @@ mod tests {
         assert!(snap.verify());
 
         let mut a = snap.fork();
-        let mut b = Soc::restore(&snap);
+        let mut b = snap.fork();
         assert_eq!(a.fingerprint(), baseline);
         a.run(50_000);
         b.run(50_000);

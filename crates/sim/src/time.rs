@@ -304,6 +304,8 @@ mod tests {
         assert_eq!(t.max(u), u);
     }
 
+    // The check is a `debug_assert!`: release builds compile it out.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn cycle_since_future_panics_in_debug() {

@@ -237,6 +237,174 @@ fn deadline_expiry_and_graceful_drain_end_to_end() {
     server.join();
 }
 
+/// A stub executor that sleeps `cycles` milliseconds, so a test sets
+/// each job's run time through its spec, and fails the scenario `fail`.
+fn sleepy() -> Executor {
+    Arc::new(|spec: &JobSpec| {
+        if spec.scenario == "fail" {
+            return Err("boom".into());
+        }
+        std::thread::sleep(Duration::from_millis(spec.cycles));
+        Ok(fgqos::bench::report::Report::new("sleepy"))
+    })
+}
+
+/// A raw connection: one request line out, one response line back,
+/// compared as bytes.
+struct Wire {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Wire {
+    fn connect(addr: std::net::SocketAddr) -> Wire {
+        let writer = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(writer.try_clone().expect("clone"));
+        Wire { reader, writer }
+    }
+
+    fn send(&mut self, frame: &str) -> String {
+        self.writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("write");
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read");
+        line.trim_end().to_string()
+    }
+}
+
+fn result_frame(job: u64, wait_ms: Option<u64>) -> String {
+    match wait_ms {
+        Some(ms) => format!(r#"{{"op":"result","job":{job},"wait_ms":{ms}}}"#),
+        None => format!(r#"{{"op":"result","job":{job}}}"#),
+    }
+}
+
+fn served_frames(client: &mut Client) -> u64 {
+    let doc = client
+        .metrics(fgqos::serve::protocol::MetricsFormat::Json)
+        .expect("metrics");
+    doc.get("metrics")
+        .and_then(|m| m.get("metrics"))
+        .and_then(|m| m.get("serve.frames"))
+        .and_then(Value::as_u64)
+        .expect("frame counter")
+}
+
+/// The server holds a `result` until its job is published, so waiting
+/// for a report costs one `result` frame however long the job runs.
+#[test]
+fn wait_report_costs_one_result_frame() {
+    let server = start(
+        ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        },
+        sleepy(),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let ack = client
+        .submit("slow", 50, &SubmitOptions::default())
+        .expect("submit");
+    let before = served_frames(&mut client);
+    let report = client
+        .wait_report(ack.job, Duration::from_secs(10))
+        .expect("report");
+    // The second metrics request is the only other frame counted.
+    assert_eq!(
+        served_frames(&mut client) - before,
+        2,
+        "wait_report sent one result frame"
+    );
+    let plain = Value::parse(&Wire::connect(server.addr()).send(&result_frame(ack.job, None)))
+        .expect("result parses");
+    assert_eq!(plain.get("state").and_then(Value::as_str), Some("done"));
+    assert_eq!(plain.get("report"), Some(&report));
+    finish(server);
+}
+
+/// `wait_ms` never changes a `result` response's bytes. A job still
+/// pending when the wait runs out answers exactly as a plain `result`
+/// did before the field existed; a job that finishes, fails or expires
+/// during the wait answers as soon as it does; an unknown job errors at
+/// once.
+#[test]
+fn parked_result_bytes_match_plain_result_in_every_state() {
+    let server = start(
+        ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        },
+        sleepy(),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut wire = Wire::connect(server.addr());
+    let opts = SubmitOptions::default();
+    // The first job holds the single worker for 300 ms; the rest queue
+    // behind it, one of them with a deadline that passes meanwhile.
+    let running = client.submit("run", 300, &opts).expect("submit").job;
+    let queued = client.submit("queue", 1, &opts).expect("submit").job;
+    let doomed = client
+        .submit(
+            "doomed",
+            1,
+            &SubmitOptions {
+                deadline_ms: Some(5),
+                ..SubmitOptions::default()
+            },
+        )
+        .expect("submit")
+        .job;
+    let failing = client.submit("fail", 1, &opts).expect("submit").job;
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while client
+        .result(running)
+        .expect("result")
+        .get("state")
+        .and_then(Value::as_str)
+        != Some("running")
+    {
+        assert!(
+            Instant::now() < give_up,
+            "the worker never took job {running}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let pending = |job: u64, state: &str| {
+        format!(
+            r#"{{"schema":"fgqos.serve","version":4,"ok":true,"op":"result","job":{job},"state":"{state}"}}"#
+        )
+    };
+    for (job, state) in [(running, "running"), (queued, "queued")] {
+        let t0 = Instant::now();
+        assert_eq!(wire.send(&result_frame(job, Some(20))), pending(job, state));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(20),
+            "the wait was held"
+        );
+        assert_eq!(wire.send(&result_frame(job, None)), pending(job, state));
+    }
+    let t0 = Instant::now();
+    let unknown = wire.send(&result_frame(999, Some(5_000)));
+    assert!(
+        t0.elapsed() < Duration::from_millis(500),
+        "an unknown job errors at once"
+    );
+    assert_eq!(unknown, wire.send(&result_frame(999, None)));
+    assert!(unknown.contains(r#""ok":false"#), "{unknown}");
+    for (job, state) in [(running, "done"), (doomed, "expired"), (failing, "failed")] {
+        let waited = wire.send(&result_frame(job, Some(1_000)));
+        assert!(
+            waited.contains(&format!(r#""state":"{state}""#)),
+            "job {job} ended {state} within the wait: {waited}"
+        );
+        assert_eq!(waited, wire.send(&result_frame(job, None)));
+    }
+    finish(server);
+}
+
 #[test]
 fn batched_sweep_round_trip_is_byte_identical_and_cached_per_point() {
     let points: Vec<BatchPoint> = [256u64, 512, 1_024, 2_048, 4_096, 8_192, 16_384, 32_768]
